@@ -136,7 +136,7 @@ _KNOWN_KEYS = {
     "model.a", "model.a.eps_x", "model.a.k", "model.a.eps_t", "model.a.omega",
     "model.b", "model.b.eps_x", "model.b.k", "model.b.eps_t", "model.b.omega",
     "stepper.cfl_safety", "stepper.dt_min", "stepper.u_ceiling", "stepper.v_floor",
-    "elliptic.rel_tolerance", "elliptic.max_iterations", "elliptic.method",
+    "elliptic.rel_tolerance",
     "run.t_end", "run.diagnostics_every", "run.snapshot_every", "run.seed",
     "run.classify_factor", "run.outdir",
     "ic.kind", "ic.value", "ic.center", "ic.width", "ic.amplitude",
@@ -207,10 +207,7 @@ def config_from_mapping(kv: dict[str, str]) -> RunConfig:
             v_floor=float(kv.get("stepper.v_floor", "1e-12")),
         )
         elliptic = EllipticConfig(
-            rel_tolerance=float(kv.get("elliptic.rel_tolerance", "1e-10")),
-            max_iterations=int(kv.get("elliptic.max_iterations", "0")),
-            method=kv.get("elliptic.method", "auto"),
-        )
+            rel_tolerance=float(kv.get("elliptic.rel_tolerance", "1e-10")))
         ic = ICSpec(
             kind=kv.get("ic.kind", "constant"),
             value=float(kv.get("ic.value", "1.0")),

@@ -45,10 +45,9 @@ class TimestepCollapseError(SimulationError):
 class SolverFailureError(SimulationError):
     """The elliptic solver failed to reach its residual tolerance."""
 
-    def __init__(self, message: str, residual: float = float("nan"), iterations: int = -1):
+    def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class ThresholdNotMetError(ParameterError):

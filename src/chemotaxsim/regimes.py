@@ -286,7 +286,13 @@ def select_lp_exponent(dim: int) -> tuple[LpPlan, float]:
                 continue
             if plan.all_flags and plan.p > target:
                 return plan, plan.p
-    assert best_err is not None
+    if best_err is None:
+        # every grid point returned a plan, each with a false flag or p too low
+        false_flags = sorted(k for k, ok in plan.flags.items() if not ok)
+        raise InfeasiblePlanError(
+            f"no (c, h_frac) grid point produced a usable plan with p > {target:g}: "
+            f"last plan c={plan.c:g}, p={plan.p:.6g}, false flags {false_flags}",
+            p_star=plan.p_star, p_star_upper=plan.p_star_upper)
     raise InfeasiblePlanError(
         f"no (c, h_frac) grid point produced a usable plan with p > {target:g}: "
         f"{best_err}", p_star=best_err.p_star, p_star_upper=best_err.p_star_upper)

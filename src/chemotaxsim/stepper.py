@@ -279,8 +279,7 @@ def advance(state: SimState, params: ModelParams,
     budget), SolverFailureError (elliptic).
     """
     grid = state.u.grid
-    v_new = solve_chemical(state.u, params.mu, params.nu, elliptic_cfg,
-                           warm_start=state.v)
+    v_new = solve_chemical(state.u, params.mu, params.nu, elliptic_cfg)
     w = chemotactic_velocity(v_new, params.chi, cfg.v_floor)
     w_max = max(float(np.abs(wa).max()) for wa in w)
 

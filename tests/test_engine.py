@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +196,29 @@ def test_2d_run_smoke():
     # the Rayleigh-type bound holds in 2D as well
     bound = cfg.params.mu * cfg.grid.measure
     assert all(r.rayleigh <= bound * 1.05 for r in outcome.records)
+
+
+IMPORT_PROBE = """
+import sys
+import chemotaxsim.cli
+from chemotaxsim.engine import ICSpec, RunConfig, run
+from chemotaxsim.mesh import Grid
+blob = ICSpec(kind="gaussian", center=(0.5, 0.5), width=0.15, baseline=0.2)
+for grid, ic in ((Grid.line(1.0, 24), ICSpec()), (Grid.box(1.0, 1.0, 12, 12), blob)):
+    assert run(RunConfig(grid=grid, ic=ic, t_end=0.01)).verdict == "CompletedBounded"
+print(sorted(m for m in sys.modules if m == "scipy.fft" or m.startswith("scipy.fft.")))
+"""
+
+
+def test_runs_do_not_import_scipy_fft():
+    # numpy.fft does the 2D solve and is loaded anyway; scipy.fft would add
+    # start-up time and resident memory to every run and sweep worker
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _fake_records(maxes):

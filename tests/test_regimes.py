@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chemotaxsim import regimes
 from chemotaxsim.engine import regime_trial_battery
 from chemotaxsim.errors import (InfeasiblePlanError, ParameterError,
                                 ThresholdNotMetError)
@@ -122,6 +123,17 @@ def test_select_lp_exponent_reports_infeasibility():
             select_lp_exponent(dim)
         assert math.isfinite(err.value.p_star)
         assert math.isfinite(err.value.p_star_upper)
+
+
+def test_select_lp_exponent_reports_plans_with_false_flags(monkeypatch):
+    # every grid point returns a plan but none passes; that is still an
+    # infeasibility report, not a bare assertion
+    bad = build_plan(1.5, 0.62, 0.2, 0.4, 8.0)
+    assert not bad.all_flags
+    monkeypatch.setattr(regimes, "lp_parameter_plan", lambda c, h_frac, gap: bad)
+    with pytest.raises(InfeasiblePlanError, match="false flags") as err:
+        select_lp_exponent(2)
+    assert (err.value.p_star, err.value.p_star_upper) == (bad.p_star, bad.p_star_upper)
 
 
 def test_window_deficit_is_scale_invariant_as_gap_shrinks():
