@@ -36,11 +36,7 @@ def apply_operator(grid: Grid, mu: float, v: np.ndarray) -> np.ndarray:
     """(mu*I - Lap_h) v with mirror-ghost Neumann closure."""
     out = mu * v
     for ax in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
+        lo, hi, _ = grid.face_slices(ax)
         g = (v[hi] - v[lo]) / grid.spacing[ax] ** 2  # interior face gradients / h
         out[lo] -= g
         out[hi] += g

@@ -54,7 +54,7 @@ class Grid:
     def box(cls, lx: float, ly: float, nx: int, ny: int) -> "Grid":
         return cls((lx, ly), (nx, ny))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.cells)
 
@@ -99,6 +99,23 @@ class Grid:
         s = list(self.cells)
         s[axis] += 1
         return tuple(s)
+
+    @cached_property
+    def _face_slices(self) -> tuple[tuple[tuple[slice, ...], ...], ...]:
+        full = (slice(None),) * self.dim
+        return tuple(
+            tuple(full[:ax] + (s,) + full[ax + 1:]
+                  for s in (slice(0, -1), slice(1, None), slice(1, -1)))
+            for ax in range(self.dim))
+
+    def face_slices(self, axis: int) -> tuple[tuple[slice, ...], ...]:
+        """Index tuples ``(lo, hi, inner)`` along ``axis``.
+
+        On a cell array lo and hi pick the cells left and right of every
+        interior face; on a face array they pick each cell's left and right
+        face, and inner picks the interior faces.
+        """
+        return self._face_slices[axis]
 
 
 @dataclass(eq=False)
@@ -160,14 +177,9 @@ def face_gradient(f: ScalarField) -> list[np.ndarray]:
     grid = f.grid
     out = []
     for ax in range(grid.dim):
+        lo, hi, inner = grid.face_slices(ax)
         g = np.zeros(grid.face_shape(ax))
-        sl = [slice(None)] * grid.dim
-        sl[ax] = slice(1, -1)
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        g[tuple(sl)] = (f.values[tuple(hi)] - f.values[tuple(lo)]) / grid.spacing[ax]
+        g[inner] = (f.values[hi] - f.values[lo]) / grid.spacing[ax]
         out.append(g)
     return out
 
@@ -182,11 +194,8 @@ def cell_gradient_sq(f: ScalarField) -> ScalarField:
     grid = f.grid
     total = np.zeros(grid.shape)
     for ax, g in enumerate(face_gradient(f)):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        avg = 0.5 * (g[tuple(lo)] + g[tuple(hi)])
+        lo, hi, _ = grid.face_slices(ax)
+        avg = 0.5 * (g[lo] + g[hi])
         total += avg * avg
     return ScalarField(grid, total)
 
@@ -199,11 +208,8 @@ def divergence(grid: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
     """
     div = np.zeros(grid.shape)
     for ax, flux in enumerate(fluxes):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        div += (flux[tuple(hi)] - flux[tuple(lo)]) / grid.spacing[ax]
+        lo, hi, _ = grid.face_slices(ax)
+        div += (flux[hi] - flux[lo]) / grid.spacing[ax]
     return div
 
 

@@ -1,10 +1,12 @@
 """Explicit conservative step for the cell-density equation.
 
-One step does, in order: solve the chemical field from the current density,
-build the singular drift velocity w = chi * grad(v)/v on faces, propose a
-stable dt, then apply a flux-form forward Euler update with central
-diffusion, donor-cell (upwind) advection and an explicit logistic reaction.
-Flux form plus zero Neumann boundary faces makes the discrete mass identity
+The state keeps one invariant: ``state.v`` is V(state.u), the chemical
+field solved from the current density.  One step does, in order: build the
+singular drift velocity w = chi * grad(v)/v on faces from that v, propose a
+stable dt, apply a flux-form forward Euler update with central diffusion,
+donor-cell (upwind) advection and an explicit logistic reaction, then solve
+V of the new density and only then store the new pair.  Flux form plus zero
+Neumann boundary faces makes the discrete mass identity
 
     int u_new = int u_old + dt * int u_old*(a - b*u_old)
 
@@ -171,7 +173,11 @@ DEFAULT_STEPPER = StepperConfig()
 
 @dataclass
 class SimState:
-    """Mutable simulation state; one owner per state, never shared."""
+    """Mutable simulation state; one owner per state, never shared.
+
+    Invariant: ``v`` is the chemical field solved from ``u``, v == V(u).
+    :func:`initial_state` establishes it and :func:`advance` keeps it.
+    """
 
     t: float
     step: int
@@ -203,63 +209,51 @@ def chemotactic_velocity(v: ScalarField, chi: float,
         return [np.zeros(grid.face_shape(ax)) for ax in range(grid.dim)]
     out = []
     for ax, g in enumerate(face_gradient(v)):
+        lo, hi, inner = grid.face_slices(ax)
         w = np.zeros_like(g)
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        inner = [slice(None)] * grid.dim
-        inner[ax] = slice(1, -1)
-        v_avg = 0.5 * (v.values[tuple(lo)] + v.values[tuple(hi)])
-        w[tuple(inner)] = chi * g[tuple(inner)] / v_avg
+        v_avg = 0.5 * (v.values[lo] + v.values[hi])
+        w[inner] = chi * g[inner] / v_avg
         out.append(w)
     return out
 
 
-def _dt_from_guards(grid: Grid, w_max: float, u_max: float,
-                    params: ModelParams, cfg: StepperConfig) -> float:
+def _dt_from_guards(u: ScalarField, w: list[np.ndarray], params: ModelParams,
+                    cfg: StepperConfig) -> float:
     """sigma * min(diffusion, advection, reaction guards); zero-denominator
-    guards are skipped."""
+    guards are skipped.  Raises on collapse below dt_min."""
+    grid = u.grid
     h_min = grid.min_spacing
     guards = [h_min * h_min / (2.0 * grid.dim)]
+    w_max = max(float(np.abs(wa).max()) for wa in w)
     if w_max > 0.0:
         guards.append(h_min / w_max)
-    reaction_rate = params.a_sup + 2.0 * params.b_sup * u_max
+    reaction_rate = params.a_sup + 2.0 * params.b_sup * u.max()
     if reaction_rate > 0.0:
         guards.append(1.0 / reaction_rate)
-    return cfg.cfl_safety * min(guards)
-
-
-def propose_dt(state: SimState, params: ModelParams,
-               cfg: StepperConfig = DEFAULT_STEPPER) -> float:
-    """Stable timestep for the current state; raises on collapse below dt_min."""
-    w = chemotactic_velocity(state.v, params.chi, cfg.v_floor)
-    w_max = max(float(np.abs(wa).max()) for wa in w)
-    dt = _dt_from_guards(state.u.grid, w_max, state.u.max(), params, cfg)
+    dt = cfg.cfl_safety * min(guards)
     if dt < cfg.dt_min:
         raise TimestepCollapseError(f"proposed dt {dt:.3e} below dt_min {cfg.dt_min:.3e}", dt=dt)
     return dt
 
 
-def _explicit_rhs(u: np.ndarray, grid: Grid, w: list[np.ndarray],
+def propose_dt(state: SimState, params: ModelParams,
+               cfg: StepperConfig = DEFAULT_STEPPER) -> float:
+    """The dt the next uncapped :func:`advance` starts from; raises on
+    collapse below dt_min."""
+    w = chemotactic_velocity(state.v, params.chi, cfg.v_floor)
+    return _dt_from_guards(state.u, w, params, cfg)
+
+
+def _explicit_rhs(u: ScalarField, w: list[np.ndarray],
                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """div(grad u - u_upwind * w) + u*(a - b*u), all in flux form."""
-    fluxes = []
-    for ax, w_ax in enumerate(w):
-        flux = np.zeros_like(w_ax)
-        inner = [slice(None)] * grid.dim
-        inner[ax] = slice(1, -1)
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        u_lo, u_hi = u[tuple(lo)], u[tuple(hi)]
-        grad_u = (u_hi - u_lo) / grid.spacing[ax]
-        w_in = w_ax[tuple(inner)]
-        donor = np.where(w_in > 0.0, u_lo, u_hi)
-        flux[tuple(inner)] = grad_u - donor * w_in
-        fluxes.append(flux)
-    return divergence(grid, fluxes) + u * (a - b * u)
+    grid = u.grid
+    fluxes = face_gradient(u)
+    for ax, (flux, w_ax) in enumerate(zip(fluxes, w)):
+        lo, hi, inner = grid.face_slices(ax)
+        w_in = w_ax[inner]
+        flux[inner] -= np.where(w_in > 0.0, u.values[lo], u.values[hi]) * w_in
+    return divergence(grid, fluxes) + u.values * (a - b * u.values)
 
 
 def advance(state: SimState, params: ModelParams,
@@ -268,31 +262,27 @@ def advance(state: SimState, params: ModelParams,
             dt_cap: float = math.inf) -> SimState:
     """Advance the state by one accepted step (mutates and returns it).
 
-    Order of operations: fresh elliptic solve from the current density,
-    drift velocity from that solve, dt proposal, then the explicit update.
-    A step producing genuine negatives is rejected and retried at dt/2 (up
-    to MAX_HALVINGS); negatives within CLAMP_FRACTION*max(u) of zero are
+    Keeps the invariant state.v == V(state.u).  Order of operations: drift
+    velocity from state.v, the dt of :func:`propose_dt` capped at dt_cap,
+    the explicit update, then one elliptic solve V(u_new).  A step
+    producing genuine negatives is rejected and retried at dt/2 (up to
+    MAX_HALVINGS); negatives within CLAMP_FRACTION*max(u) of zero are
     roundoff and get zeroed instead of burning retries.
 
     Failure modes map to distinct exceptions: DegeneracyError (v_floor),
     FieldOverflowError (u_ceiling), TimestepCollapseError (dt_min or retry
-    budget), SolverFailureError (elliptic).
+    budget), SolverFailureError (elliptic).  The state is assigned only
+    after the new solve succeeds, so on any of them it still holds the last
+    consistent (u, V(u)) pair.
     """
     grid = state.u.grid
-    v_new = solve_chemical(state.u, params.mu, params.nu, elliptic_cfg)
-    w = chemotactic_velocity(v_new, params.chi, cfg.v_floor)
-    w_max = max(float(np.abs(wa).max()) for wa in w)
+    w = chemotactic_velocity(state.v, params.chi, cfg.v_floor)
+    dt = min(_dt_from_guards(state.u, w, params, cfg), dt_cap)
 
     u_old = state.u.values
     a = params.coeff_a.evaluate(grid, state.t)
     b = params.coeff_b.evaluate(grid, state.t)
-
-    dt = _dt_from_guards(grid, w_max, float(u_old.max()), params, cfg)
-    if dt < cfg.dt_min:
-        raise TimestepCollapseError(f"proposed dt {dt:.3e} below dt_min {cfg.dt_min:.3e}", dt=dt)
-    dt = min(dt, dt_cap)
-
-    rhs = _explicit_rhs(u_old, grid, w, a, b)
+    rhs = _explicit_rhs(state.u, w, a, b)
     for _ in range(MAX_HALVINGS + 1):
         u_new = u_old + dt * rhs
         lowest = float(u_new.min())
@@ -314,7 +304,9 @@ def advance(state: SimState, params: ModelParams,
         raise FieldOverflowError(
             f"max u = {u_peak:.3e} exceeded ceiling {cfg.u_ceiling:.3e}", max_u=u_peak)
 
-    state.u = ScalarField(grid, u_new)
+    u_field = ScalarField(grid, u_new)
+    v_new = solve_chemical(u_field, params.mu, params.nu, elliptic_cfg)
+    state.u = u_field
     state.v = v_new
     state.t += dt
     state.step += 1

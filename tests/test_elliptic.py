@@ -3,7 +3,8 @@ import pytest
 
 from chemotaxsim.elliptic import EllipticConfig, apply_operator, solve_chemical
 from chemotaxsim.errors import ParameterError, SolverFailureError
-from chemotaxsim.mesh import Grid, ScalarField, integrate
+from chemotaxsim.mesh import (Grid, ScalarField, divergence, face_gradient,
+                              integrate)
 
 
 def mms_error_1d(n, mu=1.0, nu=1.0):
@@ -145,3 +146,14 @@ def test_operator_matches_dense_matrix_1d():
     gen = np.random.Generator(np.random.Philox(key=37))
     v = gen.normal(size=6)
     assert np.allclose(apply_operator(grid, mu, v.copy()), dense @ v, atol=1e-10)
+
+
+def test_operator_shares_the_stepper_diffusion_stencil():
+    # the elliptic operator at mu=0 is minus the divergence of the face
+    # gradients that the stepper's diffusive flux uses
+    grid = Grid.box(1.5, 1.0, 7, 5)
+    gen = np.random.Generator(np.random.Philox(key=61))
+    v = ScalarField(grid, gen.normal(size=grid.shape))
+    expected = -divergence(grid, face_gradient(v))
+    got = apply_operator(grid, 0.0, v.values)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -11,8 +11,9 @@ from chemotaxsim import engine
 from chemotaxsim.engine import (ICSpec, RunConfig, build_ic, config_from_mapping,
                                 load_config, parse_config_text, run, self_check,
                                 sweep)
+from chemotaxsim.elliptic import solve_chemical
 from chemotaxsim.errors import ConfigError
-from chemotaxsim.mesh import Grid
+from chemotaxsim.mesh import Grid, read_snapshot
 from chemotaxsim.stepper import CoefficientSpec, ModelParams, StepperConfig
 
 STEADY_TEXT = """
@@ -140,6 +141,20 @@ def test_snapshots_written_when_enabled(tmp_path):
     run(cfg, outdir=tmp_path)
     snaps = sorted((tmp_path / "snapshots").glob("t*.field"))
     assert len(snaps) == 4  # t=0 plus three cadence hits
+
+
+def test_every_record_pairs_u_with_its_own_v(tmp_path):
+    params = ModelParams(3.0, 1.0, 1.0, CoefficientSpec.constant(1.0),
+                         CoefficientSpec.constant(1.0))
+    cfg = quick_config(grid=Grid.line(1.0, 32), params=params, t_end=0.2,
+                       ic=ICSpec(kind="random", baseline=0.5, amplitude=1.0, seed=5),
+                       diagnostics_every=0.02, snapshot_every=0.02)
+    outcome = run(cfg, outdir=tmp_path)
+    snaps = {t: u for u, t in map(read_snapshot, (tmp_path / "snapshots").glob("t*.field"))}
+    assert len(snaps) == len(outcome.records) == 11
+    for rec in outcome.records:
+        v = solve_chemical(snaps[rec.t], params.mu, params.nu)
+        assert (rec.min_v, rec.max_v) == (v.min(), v.max())
 
 
 def test_trigger_fidelity_v_floor(tmp_path):

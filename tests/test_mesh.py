@@ -21,6 +21,18 @@ def test_grid_basics():
     assert g2.spacing[1] * g2.cells[1] == g2.extents[1]
 
 
+def test_face_slices_are_cached_and_index_faces():
+    g = Grid.box(2.0, 1.0, 4, 3)
+    lo, hi, inner = g.face_slices(1)
+    assert g.face_slices(1) is g.face_slices(1)
+    assert (lo, hi, inner) == ((slice(None), slice(0, -1)), (slice(None), slice(1, None)),
+                               (slice(None), slice(1, -1)))
+    cells = np.arange(12.0).reshape(4, 3)
+    faces = np.zeros(g.face_shape(1))
+    assert cells[lo].shape == cells[hi].shape == faces[inner].shape == (4, 2)
+    assert faces[lo].shape == faces[hi].shape == cells.shape
+
+
 @pytest.mark.parametrize("extents,cells", [
     ((1.0,), (1,)),
     ((0.0,), (8,)),

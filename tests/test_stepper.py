@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from chemotaxsim import stepper
+from chemotaxsim.elliptic import solve_chemical
 from chemotaxsim.errors import (DegeneracyError, FieldOverflowError,
-                                ParameterError, TimestepCollapseError)
+                                ParameterError, SolverFailureError,
+                                TimestepCollapseError)
 from chemotaxsim.mesh import Grid, ScalarField, integrate
 from chemotaxsim.stepper import (CoefficientSpec, ModelParams, StepperConfig,
                                  advance, chemotactic_velocity, initial_state,
@@ -120,6 +123,19 @@ def test_propose_dt_advection_guard_dominates_for_huge_velocity():
     assert propose_dt(state, params) == pytest.approx(0.4 * h / w_max, rel=1e-12)
 
 
+def test_propose_dt_is_the_next_uncapped_step_and_v_tracks_u():
+    grid = Grid.line(1.0, 32)
+    params = constant_params(chi=500.0, a=0.0, b=0.0)
+    u0 = ScalarField.from_function(grid, lambda x: 1.0 + 0.9 * np.sin(2 * np.pi * x))
+    state = initial_state(u0, params)
+    for _ in range(5):
+        dt = propose_dt(state, params)
+        advance(state, params)
+        assert state.dt_last == dt
+        assert np.array_equal(state.v.values,
+                              solve_chemical(state.u, params.mu, params.nu).values)
+
+
 def test_timestep_collapse_error():
     grid = Grid.line(1.0, 64)
     params = constant_params()
@@ -193,6 +209,8 @@ def test_pure_transport_conserves_mass_2d():
     mass0 = integrate(state.u)
     for _ in range(200):
         advance(state, params)
+        assert np.array_equal(state.v.values,
+                              solve_chemical(state.u, params.mu, params.nu).values)
     assert integrate(state.u) == pytest.approx(mass0, rel=1e-13)
     assert state.u.min() >= 0.0
 
@@ -239,7 +257,7 @@ def test_upwind_flux_hand_computed():
     w = [np.array([0.0, 2.0, -2.0, 1.0, 0.0])]
     a = np.full(4, 0.5)
     b = np.full(4, 0.25)
-    rhs = _explicit_rhs(u, grid, w, a, b)
+    rhs = _explicit_rhs(ScalarField(grid, u), w, a, b)
     assert np.allclose(rhs, [8.25, 32.0, -36.75, -6.0], atol=1e-12)
 
 
@@ -303,3 +321,27 @@ def test_accepted_steps_are_nonnegative_with_sharp_profile():
     for _ in range(400):
         advance(state, params)
         assert state.u.min() >= 0.0
+
+
+def test_failed_solve_leaves_state_unchanged(monkeypatch):
+    calls = []
+
+    def solve_once(u, mu, nu, cfg):
+        calls.append(u)
+        if len(calls) == 2:
+            raise SolverFailureError("injected", residual=1.0)
+        return solve_chemical(u, mu, nu, cfg)
+
+    monkeypatch.setattr(stepper, "solve_chemical", solve_once)
+    grid = Grid.line(1.0, 32)
+    params = constant_params(chi=3.0)
+    state = initial_state(ScalarField.from_function(grid, lambda x: 1.0 + x), params)
+    u, v = state.u, state.v
+    u_values, v_values = u.values.copy(), v.values.copy()
+    with pytest.raises(SolverFailureError):
+        advance(state, params)
+    assert len(calls) == 2
+    assert not np.array_equal(calls[1].values, u_values)  # the post-update solve
+    assert state.u is u and np.array_equal(state.u.values, u_values)
+    assert state.v is v and np.array_equal(state.v.values, v_values)
+    assert (state.t, state.step, state.dt_last) == (0.0, 0, 0.0)
