@@ -1,13 +1,14 @@
 """Finite-volume simulator and analysis toolkit for a parabolic-elliptic
 chemotaxis system with singular sensitivity and logistic growth."""
 
+from .checks import self_check
 from .diagnostics import (DiagnosticsRecord, check_mass_bound, check_persistence,
                           compute_record, grad_ratio, grad_weighted_integral,
                           log_mass, lp_norm, m_star, neg_power,
                           reverse_holder_check, weighted_integral)
 from .elliptic import EllipticConfig, solve_chemical
 from .engine import (ICSpec, RunConfig, RunOutcome, SweepResult, build_ic,
-                     load_config, run, self_check, sweep)
+                     load_config, run, sweep)
 from .errors import (ConfigError, CorruptFieldError, DegeneracyError,
                      FieldOverflowError, InfeasiblePlanError, ParameterError,
                      SimulationError, SolverFailureError, ThresholdNotMetError,

@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 
-from . import engine
+from . import checks, engine
 from .errors import (ConfigError, InfeasiblePlanError, ParameterError,
                      SimulationError, ThresholdNotMetError)
 from .regimes import beta_window, boundedness_threshold, lp_parameter_plan
@@ -141,10 +141,10 @@ def _cmd_regimes(args) -> int:
 
 
 def _cmd_check() -> int:
-    report = engine.self_check()
-    for item in report.items:
+    items = checks.self_check()
+    for item in items:
         print(f"[{'PASS' if item.passed else 'FAIL'}] {item.name}: {item.detail}")
-    return EXIT_OK if report.all_passed else EXIT_FAIL
+    return EXIT_OK if all(item.passed for item in items) else EXIT_FAIL
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,6 +1,5 @@
 """Run orchestration: configs, initial conditions, the time loop with
-diagnostics cadence, blow-up verdicts, parameter sweeps and the built-in
-verification battery.
+diagnostics cadence, blow-up verdicts and parameter sweeps.
 
 Config files are flat ``key=value`` text with dotted section prefixes
 (``model.chi=1.0``); the CLI accepts the same ``key=value`` pairs as
@@ -15,19 +14,18 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics as diag
-from .elliptic import DEFAULT_ELLIPTIC, EllipticConfig, solve_chemical
+from .elliptic import DEFAULT_ELLIPTIC, EllipticConfig
 from .errors import (ConfigError, DegeneracyError, FieldOverflowError,
-                     InfeasiblePlanError, ParameterError, SimulationError,
-                     SolverFailureError, TimestepCollapseError)
+                     ParameterError, SimulationError, SolverFailureError,
+                     TimestepCollapseError)
 from .mesh import Grid, ScalarField, integrate, write_snapshot
-from .regimes import (beta_window, boundedness_threshold, quadratic,
-                      select_lp_exponent, threshold)
+from .regimes import beta_window, boundedness_threshold, threshold
 from .stepper import (DEFAULT_STEPPER, CoefficientSpec, ModelParams,
                       SimState, StepperConfig, advance, initial_state)
 
@@ -560,169 +558,3 @@ def _fmt_cell(v) -> str:
         return f"{v:.17g}"
     return str(v)
 
-
-# --- built-in verification battery --------------------------------------------
-
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass
-class SelfCheckReport:
-    items: list[CheckItem] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-
-def _check_elliptic_convergence() -> CheckItem:
-    mu, nu = 1.0, 1.0
-    errs = {}
-    for n in (128, 256):
-        grid = Grid.line(1.0, n)
-        x = grid.centers(0)
-        u = ScalarField(grid, (mu + np.pi ** 2) * np.cos(np.pi * x) / nu)
-        v = solve_chemical(u, mu, nu)
-        errs[n] = float(np.abs(v.values - np.cos(np.pi * x)).max())
-    order = math.log2(errs[128] / errs[256])
-    ok = 1.8 <= order <= 2.2
-    return CheckItem("elliptic_convergence", ok, f"observed order {order:.3f}")
-
-
-def _check_mean_identity() -> CheckItem:
-    gen = np.random.Generator(np.random.Philox(key=7))
-    worst = 0.0
-    ok = True
-    for _ in range(20):
-        grid = Grid.line(1.0, 128)
-        u = ScalarField(grid, gen.uniform(0.0, 1.0, grid.shape))
-        v = solve_chemical(u, 2.0, 3.0)
-        rel = abs(2.0 * integrate(v) - 3.0 * integrate(u)) / (3.0 * integrate(u))
-        worst = max(worst, rel)
-        ok = ok and v.min() > 0.0
-    ok = ok and worst <= 1e-9
-    return CheckItem("elliptic_mean_identity", ok, f"worst relative error {worst:.2e}")
-
-
-def _check_mass_identity() -> CheckItem:
-    gen = np.random.Generator(np.random.Philox(key=11))
-    grid = Grid.line(1.0, 64)
-    u0 = ScalarField(grid, gen.uniform(0.2, 1.5, grid.shape))
-    params = ModelParams(1.0, 1.0, 1.0, CoefficientSpec.constant(1.0),
-                         CoefficientSpec.constant(1.0))
-    state = initial_state(u0, params)
-    a = params.coeff_a.evaluate(grid, 0.0)
-    b = params.coeff_b.evaluate(grid, 0.0)
-    mass0 = integrate(state.u)
-    reaction = float((state.u.values * (a - b * state.u.values)).sum() * grid.cell_volume)
-    advance(state, params)
-    drift = abs(integrate(state.u) - mass0 - state.dt_last * reaction)
-    ok = drift <= 1e-12 * mass0
-    return CheckItem("mass_identity", ok, f"defect {drift:.2e} vs mass {mass0:.3f}")
-
-
-def _check_logistic_oracle() -> CheckItem:
-    grid = Grid.line(1.0, 16)
-    params = ModelParams(0.0, 1.0, 1.0, CoefficientSpec.constant(1.0),
-                         CoefficientSpec.constant(1.0))
-    state = initial_state(ScalarField.full(grid, 0.1), params)
-    while 5.0 - state.t > 5e-12:
-        advance(state, params, dt_cap=5.0 - state.t)
-    exact = 0.1 * math.exp(5.0) / (1.0 + 0.1 * (math.exp(5.0) - 1.0))
-    rel = abs(state.u.max() - exact) / exact
-    return CheckItem("logistic_oracle", rel <= 1e-4, f"relative error {rel:.2e}")
-
-
-def _check_reverse_holder() -> CheckItem:
-    gen = np.random.Generator(np.random.Philox(key=13))
-    grid = Grid.line(1.0, 48)
-    bad = 0
-    for _ in range(200):
-        f = ScalarField(grid, gen.uniform(0.0, 2.0, grid.shape))
-        g = ScalarField(grid, gen.uniform(0.05, 3.0, grid.shape))
-        for p in (1.5, 2.0, 3.0):
-            if not diag.reverse_holder_check(f, g, p).passed:
-                bad += 1
-    return CheckItem("reverse_holder", bad == 0, f"{bad} violations in 600 checks")
-
-
-def regime_trial_battery(n_trials: int, seed: int = 2024) -> dict:
-    """Random threshold / beta-window trials; returns violation counts.
-
-    Sampling floors (chi >= 0.05, relative margin >= 1e-6) keep the
-    root-residual target representable in doubles; chi = 0 and near-zero
-    margins are covered by dedicated unit tests.
-    """
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    violations = 0
-    worst_residual = 0.0
-    for _ in range(n_trials):
-        chi = float(gen.uniform(0.05, 8.0))
-        mu = float(10.0 ** gen.uniform(-2.0, 2.0))
-        margin = float(10.0 ** gen.uniform(-6.0, 1.0)) * mu
-        R = threshold(chi, mu) + margin
-        try:
-            win = beta_window(chi, mu, R)
-        except SimulationError:
-            violations += 1
-            continue
-        lo, hi = win.window
-        beta = win.chosen_beta
-        scale = mu * chi * chi + 4.0 * R
-        res = max(abs(quadratic(chi, mu, R, win.beta_minus)),
-                  abs(quadratic(chi, mu, R, win.beta_plus)))
-        worst_residual = max(worst_residual, res / scale)
-        ok = (lo < beta < hi and beta != chi and beta > 0.0
-              and quadratic(chi, mu, R, beta) < 0.0
-              and win.p_hat > 0.0
-              and (win.p_hat + 1.0) * beta * mu / win.p_hat - R < 0.0
-              and res <= 1e-9 * scale)
-        if not ok:
-            violations += 1
-    return {"trials": n_trials, "violations": violations,
-            "worst_root_residual": worst_residual}
-
-
-def _check_regime_trials() -> CheckItem:
-    report = regime_trial_battery(10_000)
-    ok = report["violations"] == 0
-    return CheckItem("regimes_random_trials", ok,
-                     f"{report['violations']} violations in {report['trials']} trials, "
-                     f"worst root residual {report['worst_root_residual']:.2e}")
-
-
-def _check_lp_plan() -> CheckItem:
-    details = []
-    ok = True
-    for dim in (1, 2):
-        try:
-            plan, p = select_lp_exponent(dim)
-            details.append(f"dim {dim}: p={p:.3f} flags={'all true' if plan.all_flags else 'incomplete'}")
-            ok = ok and plan.all_flags and p > max(dim, 3)
-        except InfeasiblePlanError as err:
-            ok = False
-            details.append(f"dim {dim}: infeasible (floor {err.p_star:.4g} >= ceiling {err.p_star_upper:.4g})")
-    return CheckItem("lp_plan_feasibility", ok, "; ".join(details))
-
-
-def self_check() -> SelfCheckReport:
-    """Built-in verification battery; failures are report entries, not raises.
-
-    The lp_plan_feasibility item documents a known property of the exponent
-    construction: its window floor provably meets the ceiling from above for
-    every admissible coefficient choice, so the item reports the
-    infeasibility rather than a plan.
-    """
-    report = SelfCheckReport()
-    report.items.append(_check_elliptic_convergence())
-    report.items.append(_check_mean_identity())
-    report.items.append(_check_mass_identity())
-    report.items.append(_check_logistic_oracle())
-    report.items.append(_check_reverse_holder())
-    report.items.append(_check_regime_trials())
-    report.items.append(_check_lp_plan())
-    return report

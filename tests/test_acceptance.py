@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chemotaxsim import checks
 from chemotaxsim import diagnostics as diag
-from chemotaxsim import engine
-from chemotaxsim.elliptic import solve_chemical
-from chemotaxsim.engine import ICSpec, RunConfig, regime_trial_battery, run, sweep
+from chemotaxsim.engine import ICSpec, RunConfig, run, sweep
 from chemotaxsim.errors import InfeasiblePlanError
-from chemotaxsim.mesh import Grid, ScalarField, integrate
+from chemotaxsim.mesh import Grid
 from chemotaxsim.regimes import (beta_window, build_plan, select_lp_exponent,
                                  threshold)
 from chemotaxsim.stepper import CoefficientSpec, ModelParams
@@ -58,10 +57,8 @@ def steady_outcome():
 
 @pytest.fixture(scope="session")
 def logistic_outcome():
-    cfg = RunConfig(grid=Grid.line(1.0, 32), params=params_for(0.0, 1.0),
-                    ic=ICSpec(kind="constant", value=0.1), t_end=5.0,
-                    diagnostics_every=0.05)
-    return cfg, run(cfg)
+    """(relative error at t=5, config, outcome) of the 32-cell logistic run."""
+    return checks.logistic_oracle(32)
 
 
 @pytest.fixture(scope="session")
@@ -107,7 +104,7 @@ def rayleigh_pair():
 @pytest.fixture(scope="session")
 def all_acceptance_runs(steady_outcome, logistic_outcome, existence_sweep,
                         bounded_regime_runs, rayleigh_pair):
-    runs = [steady_outcome, logistic_outcome]
+    runs = [steady_outcome, logistic_outcome[1:]]
     runs += list(bounded_regime_runs)
     runs += [rayleigh_pair[128], rayleigh_pair[256]]
     result, _ = existence_sweep
@@ -119,33 +116,15 @@ def all_acceptance_runs(steady_outcome, logistic_outcome, existence_sweep,
 
 def test_criterion_01_elliptic_convergence():
     t0 = time.perf_counter()
-    errs = {}
-    mu = nu = 1.0
-    for n in (128, 256):
-        grid = Grid.line(1.0, n)
-        x = grid.centers(0)
-        u = ScalarField(grid, (mu + np.pi ** 2) * np.cos(np.pi * x) / nu)
-        v = solve_chemical(u, mu, nu)
-        errs[n] = float(np.abs(v.values - np.cos(np.pi * x)).max())
+    ratio = checks.mms_error_1d(128) / checks.mms_error_1d(256)
     elapsed = time.perf_counter() - t0
-    ratio = errs[128] / errs[256]
     _crit("criterion 01 elliptic convergence",
           3.4 <= ratio <= 4.6 and elapsed < 1.0,
           f"error ratio {ratio:.3f} (target [3.4, 4.6]), {elapsed:.3f}s")
 
 
 def test_criterion_02_mean_identity():
-    gen = np.random.Generator(np.random.Philox(key=101))
-    grid = Grid.line(1.0, 200)
-    mu, nu = 2.0, 3.0
-    worst = 0.0
-    min_v = math.inf
-    for _ in range(100):
-        u = ScalarField(grid, np.clip(gen.uniform(-0.2, 1.0, grid.shape), 0.0, None))
-        v = solve_chemical(u, mu, nu)
-        mass = integrate(u)
-        worst = max(worst, abs(mu * integrate(v) - nu * mass) / (nu * mass))
-        min_v = min(min_v, v.min())
+    worst, min_v = checks.mean_identity_defect(Grid.line(1.0, 200), 100, 101, (-0.2, 1.0))
     _crit("criterion 02 mean identity",
           worst <= 1e-9 and min_v > 0.0,
           f"worst relative defect {worst:.2e}, min v {min_v:.3e}")
@@ -162,10 +141,7 @@ def test_criterion_03_steady_state(steady_outcome):
 
 
 def test_criterion_04_logistic_oracle(logistic_outcome):
-    _, outcome = logistic_outcome
-    final = outcome.records[-1]
-    exact = 0.1 * math.exp(5.0) / (1.0 + 0.1 * (math.exp(5.0) - 1.0))
-    rel = max(abs(final.max_u - exact), abs(final.min_u - exact)) / exact
+    rel = logistic_outcome[0]
     _crit("criterion 04 logistic oracle",
           rel <= 1e-4, f"relative error {rel:.2e} at t=5")
 
@@ -215,7 +191,7 @@ def test_criterion_08_boundedness_above_threshold(bounded_regime_runs):
 
 
 def test_criterion_09_regimes_battery():
-    report = regime_trial_battery(10_000, seed=2024)
+    report = checks.regime_trial_battery(10_000, seed=2024)
     ok = report["violations"] == 0 and report["worst_root_residual"] <= 1e-9
     _crit("criterion 09 regimes battery",
           ok, f"{report['violations']} violations in {report['trials']} trials, "
@@ -283,15 +259,8 @@ def test_criterion_09_lp_plan_feasibility():
 
 
 def test_criterion_10_reverse_holder():
-    gen = np.random.Generator(np.random.Philox(key=103))
-    grid = Grid.line(1.0, 64)
-    violations = 0
-    for _ in range(1000):
-        f = ScalarField(grid, np.clip(gen.uniform(-0.5, 2.0, grid.shape), 0.0, None))
-        g = ScalarField(grid, gen.uniform(0.01, 4.0, grid.shape))
-        for p in (1.5, 2.0, 3.0):
-            if not diag.reverse_holder_check(f, g, p).passed:
-                violations += 1
+    violations = checks.reverse_holder_violations(Grid.line(1.0, 64), 1000, 103,
+                                                  (-0.5, 2.0), (0.01, 4.0))
     _crit("criterion 10 reverse Hoelder",
           violations == 0, f"{violations} violations in 3000 checks")
 

@@ -9,8 +9,7 @@ import pytest
 
 from chemotaxsim import engine
 from chemotaxsim.engine import (ICSpec, RunConfig, build_ic, config_from_mapping,
-                                load_config, parse_config_text, run, self_check,
-                                sweep)
+                                load_config, parse_config_text, run, sweep)
 from chemotaxsim.elliptic import solve_chemical
 from chemotaxsim.errors import ConfigError
 from chemotaxsim.mesh import Grid, read_snapshot
@@ -342,20 +341,3 @@ def test_sweep_records_per_cell_failures(tmp_path):
     result = sweep(bad, [("chi", [0.5, 1.0])], outdir=tmp_path, workers=1)
     assert all(r["verdict"] == "NumericalBlowUpSuspected" for r in result.rows)
     assert all(r["trigger"] == "u_ceiling" for r in result.rows)
-
-
-# --- self check -------------------------------------------------------------------
-
-def test_self_check_battery():
-    report = self_check()
-    by_name = {item.name: item for item in report.items}
-    expected_pass = ["elliptic_convergence", "elliptic_mean_identity",
-                     "mass_identity", "logistic_oracle", "reverse_holder",
-                     "regimes_random_trials"]
-    for name in expected_pass:
-        assert by_name[name].passed, f"{name}: {by_name[name].detail}"
-    # the exponent-plan construction is infeasible by design analysis; the
-    # battery reports that honestly
-    assert not by_name["lp_plan_feasibility"].passed
-    assert "infeasible" in by_name["lp_plan_feasibility"].detail
-    assert not report.all_passed

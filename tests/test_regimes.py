@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chemotaxsim import regimes
-from chemotaxsim.engine import regime_trial_battery
+from chemotaxsim.checks import regime_trial_battery
 from chemotaxsim.errors import (InfeasiblePlanError, ParameterError,
                                 ThresholdNotMetError)
 from chemotaxsim.regimes import (beta_window, boundedness_threshold,

@@ -1,9 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from chemotaxsim import stepper
+from chemotaxsim.checks import logistic_oracle, mass_identity_defect
 from chemotaxsim.elliptic import solve_chemical
 from chemotaxsim.errors import (DegeneracyError, FieldOverflowError,
                                 ParameterError, SolverFailureError,
@@ -160,30 +159,14 @@ def test_homogeneous_steady_state_is_preserved():
 def test_logistic_ode_oracle_short():
     # coarse, mid-growth check; the production-tolerance version (t=5,
     # finer dt) lives in the acceptance suite
-    grid = Grid.line(1.0, 16)
-    params = constant_params(chi=0.0)
-    state = initial_state(ScalarField.full(grid, 0.1), params)
-    t_end = 2.0
-    while t_end - state.t > 1e-12:
-        advance(state, params, dt_cap=t_end - state.t)
-    exact = 0.1 * math.exp(t_end) / (1.0 + 0.1 * (math.exp(t_end) - 1.0))
-    assert state.u.max() == pytest.approx(exact, rel=1e-3)
-    assert state.u.min() == pytest.approx(exact, rel=1e-3)
+    assert logistic_oracle(16, t_end=2.0)[0] <= 1e-3
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_mass_identity_single_step(dim):
-    gen = np.random.Generator(np.random.Philox(key=41))
     grid = Grid.line(1.0, 64) if dim == 1 else Grid.box(1.0, 1.0, 16, 16)
-    u0 = ScalarField(grid, gen.uniform(0.2, 1.8, grid.shape))
-    params = constant_params(chi=1.5, a=1.2, b=0.7)
-    state = initial_state(u0, params)
-    a = params.coeff_a.evaluate(grid, 0.0)
-    b = params.coeff_b.evaluate(grid, 0.0)
-    mass0 = integrate(state.u)
-    reaction = float((u0.values * (a - b * u0.values)).sum() * grid.cell_volume)
-    advance(state, params)
-    defect = abs(integrate(state.u) - mass0 - state.dt_last * reaction)
+    defect, mass0 = mass_identity_defect(grid, 41, (0.2, 1.8),
+                                         constant_params(chi=1.5, a=1.2, b=0.7))
     assert defect <= 1e-12 * mass0
 
 
