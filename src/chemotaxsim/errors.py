@@ -57,8 +57,8 @@ class ThresholdNotMetError(ParameterError):
 class InfeasiblePlanError(SimulationError):
     """The exponent-window construction found no admissible parameter tuple.
 
-    Carries the last window endpoints seen so callers can report how far
-    from feasible the search ended.
+    Carries the window endpoints of the first attempt so callers can report
+    how far from feasible the construction starts.
     """
 
     def __init__(self, message: str, p_star: float, p_star_upper: float):

@@ -6,7 +6,7 @@ plan construction (`lp_parameter_plan`) verifies every inequality it is
 supposed to guarantee by direct evaluation and reports each one as a named
 flag, so a returned plan is a checkable certificate rather than an
 asymptotic claim.  When the exponent window fails to open the function
-raises :class:`InfeasiblePlanError` carrying the final window endpoints.
+raises :class:`InfeasiblePlanError` carrying its first attempt's endpoints.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import InfeasiblePlanError, ParameterError, ThresholdNotMetError
 
 SHRINK_BUDGET = 60
+WINDOW_RTOL = 1e-9
 ROOT_NUDGE = 1e-6
 
 
@@ -215,8 +216,9 @@ def lp_parameter_plan(c: float, h_frac: float, alpha_gap: float) -> LpPlan:
     window (p_star, p_star_upper), p at the midpoint, eps half-maximal.
 
     If the window does not open, alpha_gap is halved (at most SHRINK_BUDGET
-    times).  When the budget runs out an InfeasiblePlanError reports the
-    final window endpoints.  For this construction the window provably never
+    times) until rounding moves lam by more than WINDOW_RTOL relative to
+    c*alpha_gap; then an InfeasiblePlanError reports the window endpoints of
+    the first admissible attempt.  For this construction the window provably never
     opens: the floor term (3c-2)/(2-2c*alpha) meets the ceiling exactly when
     the ratio inequality constraint on d(p+1)/(p+1-rd) gives out, so the
     infeasibility report is the expected outcome (see tests/test_regimes.py).
@@ -232,41 +234,40 @@ def lp_parameter_plan(c: float, h_frac: float, alpha_gap: float) -> LpPlan:
         raise ParameterError(f"alpha_gap must be positive, got {alpha_gap}")
 
     gap = alpha_gap
-    last_lo, last_hi = math.nan, math.nan
     first: tuple[float, float] | None = None
     for shrink in range(SHRINK_BUDGET + 1):
         alpha = 1.0 / c - gap
         lam = 1.0 - c * alpha
+        # past this point the endpoints, which scale like 1/lam, are noise
+        if not abs(lam - c * gap) <= WINDOW_RTOL * c * gap:
+            break
         admissible = (alpha > 0.5 and 0.0 < lam < min(1.0 - alpha, (c - 1.0) / (2.0 * c - 1.0)))
         if admissible:
             h_lo = 0.5 - (lam * lam + lam) / (1.0 - lam)
             h = h_lo + h_frac * (0.5 - h_lo)
-            last_lo = p_star_lower(c, h, alpha, lam)
-            last_hi = p_star_upper(c, h, alpha, lam)
+            lo = p_star_lower(c, h, alpha, lam)
+            hi = p_star_upper(c, h, alpha, lam)
             if first is None:
-                first = (last_lo, last_hi)
-            # relative margin keeps ulp noise at huge 1/lam scales from
+                first = (lo, hi)
+            # relative margin keeps ulp noise at large 1/lam scales from
             # opening a spurious window
-            if last_hi - last_lo > 1e-9 * abs(last_lo):
-                p = 0.5 * (last_lo + last_hi)
-                return build_plan(c, alpha, lam, h, p, alpha_gap=gap, shrink_count=shrink)
+            if hi - lo > WINDOW_RTOL * abs(lo):
+                return build_plan(c, alpha, lam, h, 0.5 * (lo + hi), alpha_gap=gap,
+                                  shrink_count=shrink)
         gap *= 0.5
-    first_note = ""
-    if first is not None:
-        first_note = (f" (first attempt: floor {first[0]:.6g} vs ceiling {first[1]:.6g}, "
-                      f"deficit {first[0] - first[1]:.4g})")
+    p_star, p_upper = first if first is not None else (math.nan, math.nan)
     raise InfeasiblePlanError(
-        f"exponent window never opened for c={c}, h_frac={h_frac}: "
-        f"final floor {last_lo:.6g} >= ceiling {last_hi:.6g} after {SHRINK_BUDGET} shrinks"
-        + first_note,
-        p_star=last_lo, p_star_upper=last_hi)
+        f"exponent window never opened for c={c}, h_frac={h_frac}: first attempt "
+        f"floor {p_star:.6g} vs ceiling {p_upper:.6g}, deficit {p_star - p_upper:.4g}; "
+        f"no window after {shrink} halvings of alpha_gap", p_star=p_star, p_star_upper=p_upper)
 
 
 def select_lp_exponent(dim: int) -> tuple[LpPlan, float]:
     """Search a small (c, h_frac) grid for a plan with p > max(dim, 3).
 
     Raises InfeasiblePlanError when no grid point yields a plan; the error
-    carries the window endpoints of the least-infeasible attempt.
+    carries the first-attempt window endpoints of the least-infeasible grid
+    point.
     """
     if dim not in (1, 2):
         raise ParameterError(f"dim must be 1 or 2, got {dim}")

@@ -101,14 +101,34 @@ def test_lp_plan_rejects_degenerate_inputs():
         lp_parameter_plan(1.5, 0.5, 0.0)
 
 
+def _window(c, h_frac, gap):
+    """Window endpoints of lp_parameter_plan's attempt at alpha_gap=gap."""
+    alpha = 1.0 / c - gap
+    lam = 1.0 - c * alpha
+    h_lo = 0.5 - (lam * lam + lam) / (1.0 - lam)
+    h = h_lo + h_frac * (0.5 - h_lo)
+    return p_star_lower(c, h, alpha, lam), p_star_upper(c, h, alpha, lam)
+
+
 def test_lp_plan_window_never_opens_with_coupled_h():
     """The construction couples h to its lam-dependent interval; then the
     window floor term (3c-2)/(2-2c*alpha) always meets the ceiling, so the
-    plan must report infeasibility with the final endpoints attached."""
+    plan must report infeasibility with the first attempt's endpoints
+    attached, not those of the last shrink, where lam = 1 - c*alpha is
+    rounding noise."""
     with pytest.raises(InfeasiblePlanError) as err:
         lp_parameter_plan(1.5, 0.9, 1e-3)
-    assert err.value.p_star >= err.value.p_star_upper * (1.0 - 1e-9)
-    assert err.value.p_star > 100.0    # shrink drove the scale up
+    assert (err.value.p_star, err.value.p_star_upper) == _window(1.5, 0.9, 1e-3)
+    assert err.value.p_star > err.value.p_star_upper
+
+
+def test_lp_plan_shrink_stops_before_lam_is_rounding_noise(monkeypatch):
+    # a window that opens only at lam < 1e-12, where 1 - c*alpha keeps about
+    # four correct digits, must never be reached
+    monkeypatch.setattr(regimes, "p_star_upper",
+                        lambda c, h, alpha, lam: math.inf if lam < 1e-12 else 0.0)
+    with pytest.raises(InfeasiblePlanError):
+        lp_parameter_plan(1.5, 0.9, 1e-3)
 
 
 @pytest.mark.parametrize("c,h_frac", [(1.2, 0.25), (1.5, 0.5), (1.8, 0.9)])
@@ -144,12 +164,7 @@ def test_window_deficit_is_scale_invariant_as_gap_shrinks():
     ratios = []
     deficits = []
     for gap in (1e-2, 1e-4, 1e-6):
-        alpha = 1.0 / c - gap
-        lam = 1.0 - c * alpha
-        h_lo = 0.5 - (lam * lam + lam) / (1.0 - lam)
-        h = h_lo + h_frac * (0.5 - h_lo)
-        lo = p_star_lower(c, h, alpha, lam)
-        hi = p_star_upper(c, h, alpha, lam)
+        lo, hi = _window(c, h_frac, gap)
         ratios.append(hi / lo)
         deficits.append(hi - lo)
     assert all(r < 1.0 for r in ratios)
