@@ -100,10 +100,10 @@ class RunConfig:
     outdir: str | None = None
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.diagnostics_every < 0 or self.snapshot_every < 0:
-            raise ConfigError("cadence intervals must be >= 0")
+        if not (0 < self.t_end < math.inf):
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
+        if not (0 <= self.diagnostics_every < math.inf and 0 <= self.snapshot_every < math.inf):
+            raise ConfigError("cadence intervals must be finite and >= 0")
         if self.classify_factor <= 1.0:
             raise ConfigError("classify_factor must exceed 1")
 

@@ -134,8 +134,8 @@ class ModelParams:
     def __post_init__(self):
         if self.chi < 0 or not math.isfinite(self.chi):
             raise ParameterError(f"chi must be >= 0, got {self.chi}")
-        if self.mu <= 0 or self.nu <= 0:
-            raise ParameterError("mu and nu must be positive")
+        if not (0 < self.mu < math.inf and 0 < self.nu < math.inf):
+            raise ParameterError(f"mu and nu must be positive and finite, got {self.mu}, {self.nu}")
 
     @property
     def a_inf(self) -> float:

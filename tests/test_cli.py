@@ -52,11 +52,15 @@ def test_run_subcommand_solver_failure(cfg_path, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "SolverFailure"
 
 
-def test_run_subcommand_config_error(tmp_path, capsys):
+def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model.unknown=1\n")
     assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+    for override in ("run.t_end=nan", "run.t_end=inf", "run.diagnostics_every=inf",
+                     "run.snapshot_every=nan", "model.mu=nan", "model.nu=inf"):
+        assert main(["run", str(cfg_path), override,
+                     "--outdir", str(tmp_path / "out")]) == 2, override
 
 
 def test_sweep_subcommand(cfg_path, tmp_path, capsys):
