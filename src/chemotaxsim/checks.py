@@ -1,11 +1,7 @@
-"""Verification battery: one measurement function per checked property.
-
-Each function returns the measured numbers and applies no bound.
-``chemotaxsim check`` (:func:`self_check`) and the test suite call the same
-functions, each with its own sizes, seeds, data ranges and bounds.  Random
-data is uniform on the given range from a Philox generator keyed by the
-seed, clipped at zero: a range reaching below zero puts exact zeros in it.
-"""
+"""Verification battery: one function per checked property, returning the
+measured numbers.  ``chemotaxsim check`` (:func:`self_check`) and the test
+suite call them with their own sizes, seeds, data ranges and bounds.  Random
+data is Philox-seeded, uniform on the given range and clipped at zero."""
 from __future__ import annotations
 
 import math
@@ -152,13 +148,9 @@ def _check_lp_plan() -> CheckItem:
 
 
 def self_check() -> list[CheckItem]:
-    """Built-in verification battery; failures are items, not raises.
-
-    The lp_plan_feasibility item documents a known property of the exponent
-    construction: its window floor provably meets the ceiling from above for
-    every admissible coefficient choice, so the item reports the
-    infeasibility rather than a plan.
-    """
+    """Built-in verification battery; failures are items, not raises.  The
+    lp_plan_feasibility item reports the exponent construction's known
+    infeasibility (see regimes.lp_parameter_plan)."""
     order = math.log2(mms_error_1d(128) / mms_error_1d(256))
     mean_defect, min_v = mean_identity_defect(Grid.line(1.0, 128), 20, 7, (0.0, 1.0))
     unit = ModelParams(1.0, 1.0, 1.0, CoefficientSpec.constant(1.0),
