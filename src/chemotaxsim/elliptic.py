@@ -2,11 +2,12 @@
 
 The operator uses the mesh module's Neumann closure, so it is symmetric
 positive definite for any mu > 0 (no null space, unlike a pure Neumann
-Poisson problem).  Both solves are direct.  1D solves go through a cached
-banded LU factorization.  In 2D the mirror-ghost closure makes the operator
-exactly diagonal in the cosine basis: mirroring the source along every axis
-turns it into a periodic problem on the doubled grid, which one real FFT
-pair solves.  Either way one residual check accepts the result.
+Poisson problem).  Both solves are direct.  Lines of three or more cells go
+through a cached tridiagonal LU factorization.  On every other grid, in any
+dimension, the mirror-ghost closure makes the operator exactly diagonal in
+the cosine basis: mirroring the source along every axis turns it into a
+periodic problem on the doubled grid, which one real FFT pair solves.
+Either way one residual check accepts the result.
 """
 from __future__ import annotations
 
@@ -45,30 +46,21 @@ def apply_operator(grid: Grid, mu: float, v: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _tridiag_factors(grid: Grid, mu: float):
-    """LU factorization of the 1D operator, reused across timesteps.
-
-    The LAPACK gttrf wrapper rejects n=2, so tiny grids fall back to a dense
-    factorization (still cached)."""
+    """LU factorization of the 1D operator, reused across timesteps.  The
+    LAPACK gttrf wrapper rejects n=2, so it needs at least three cells."""
     n = grid.cells[0]
     h2 = grid.spacing[0] ** 2
     diag = np.full(n, mu + 2.0 / h2)
     diag[0] = diag[-1] = mu + 1.0 / h2
     off = np.full(n - 1, -1.0 / h2)
-    if n < 3:
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        return ("dense", np.linalg.inv(dense))
     dl, d, du, du2, ipiv, info = lapack.dgttrf(off, diag, off)
     if info != 0:
         raise SolverFailureError(f"tridiagonal factorization failed (info={info})")
-    return ("gt", (dl, d, du, du2, ipiv))
+    return dl, d, du, du2, ipiv
 
 
 def _solve_direct_1d(grid: Grid, mu: float, b: np.ndarray) -> np.ndarray:
-    kind, factors = _tridiag_factors(grid, mu)
-    if kind == "dense":
-        return factors @ b
-    dl, d, du, du2, ipiv = factors
-    x, info = lapack.dgttrs(dl, d, du, du2, ipiv, b)
+    x, info = lapack.dgttrs(*_tridiag_factors(grid, mu), b)
     if info != 0:
         raise SolverFailureError(f"tridiagonal back-substitution failed (info={info})")
     return x
@@ -126,7 +118,7 @@ def solve_chemical(u: ScalarField, mu: float, nu: float,
 
     For nonnegative u with positive mass the discrete maximum principle of
     the M-matrix operator makes the exact discrete v strictly positive.  The
-    2D FFT solve keeps that only up to roundoff of order eps*max(v), so
+    FFT solve keeps that only up to roundoff of order eps*max(v), so
     where v is that small it can come out at or below zero; the stepper's
     v_floor check catches it.  The sign of u is the caller's obligation;
     manufactured-solution tests legitimately pass sign-changing u.
@@ -141,6 +133,7 @@ def solve_chemical(u: ScalarField, mu: float, nu: float,
     require_finite(u, "chemical source")
     grid = u.grid
     b = nu * u.values
-    v = _solve_direct_1d(grid, mu, b) if grid.dim == 1 else _solve_fft(grid, mu, b)
+    lu = grid.dim == 1 and grid.num_cells > 2
+    v = _solve_direct_1d(grid, mu, b) if lu else _solve_fft(grid, mu, b)
     _check_residual(grid, mu, b, v, cfg.rel_tolerance)
     return ScalarField(grid, v)

@@ -167,15 +167,11 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _coeff_from(kv: dict[str, str], prefix: str) -> CoefficientSpec:
-    base = float(kv.get(prefix, "1.0"))
-    eps_x = float(kv.get(f"{prefix}.eps_x", "0"))
-    eps_t = float(kv.get(f"{prefix}.eps_t", "0"))
-    if eps_x == 0.0 and eps_t == 0.0:
-        return CoefficientSpec.constant(base)
-    return CoefficientSpec.separable(base, eps_x=eps_x,
-                                     mode_k=float(kv.get(f"{prefix}.k", "1")),
-                                     eps_t=eps_t,
-                                     omega=float(kv.get(f"{prefix}.omega", "0")))
+    return CoefficientSpec(base=float(kv.get(prefix, "1.0")),
+                           eps_x=float(kv.get(f"{prefix}.eps_x", "0")),
+                           mode_k=float(kv.get(f"{prefix}.k", "1")),
+                           eps_t=float(kv.get(f"{prefix}.eps_t", "0")),
+                           omega=float(kv.get(f"{prefix}.omega", "0")))
 
 
 def config_from_mapping(kv: dict[str, str]) -> RunConfig:
@@ -185,12 +181,10 @@ def config_from_mapping(kv: dict[str, str]) -> RunConfig:
     try:
         dim = int(kv.get("grid.dim", "1"))
         cells = _ints(kv.get("grid.cells", "64"))
-        extents = _floats(kv.get("grid.extent", ",".join(["1.0"] * dim)))
-        if len(cells) == 1 and dim == 2:
-            cells = cells * 2
-        if len(extents) == 1 and dim == 2:
-            extents = extents * 2
-        grid = Grid(extents[:dim], cells[:dim])
+        extents = _floats(kv.get("grid.extent", "1.0"))
+        if {len(cells), len(extents)} - {1, dim}:
+            raise ConfigError(f"grid.cells and grid.extent need 1 or grid.dim={dim} values")
+        grid = Grid(extents * (dim // len(extents)), cells * (dim // len(cells)))
         params = ModelParams(
             chi=float(kv.get("model.chi", "1.0")),
             mu=float(kv.get("model.mu", "1.0")),

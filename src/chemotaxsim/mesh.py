@@ -1,8 +1,9 @@
 """Uniform cell-centered grids with Neumann (mirror ghost) closure.
 
-The grid covers an axis-aligned box in 1 or 2 dimensions.  Cell values are
-stored row-major over the axes (C order), so ``values.ravel()`` is the
-documented linear cell index: in 2D, cell (i, j) sits at index ``i*ny + j``.
+The grid covers an axis-aligned box in any number of dimensions; every
+stencil loops over the axes.  Cell values are stored row-major over the axes
+(C order), so ``values.ravel()`` is the documented linear cell index: in 2D,
+cell (i, j) sits at index ``i*ny + j``.
 Faces on the domain boundary always carry zero gradient / zero flux, which is
 the discrete form of a homogeneous Neumann condition with mirrored ghost
 cells.
@@ -39,8 +40,8 @@ class Grid:
         object.__setattr__(self, "cells", cells)
         if len(extents) != len(cells):
             raise ParameterError("extents and cells must have the same length")
-        if len(extents) not in (1, 2):
-            raise ParameterError(f"dimension must be 1 or 2, got {len(extents)}")
+        if not extents:
+            raise ParameterError("a grid needs at least one axis")
         if any(n < 2 for n in cells):
             raise ParameterError(f"need at least 2 cells per axis, got {cells}")
         if any(not np.isfinite(e) or e <= 0 for e in extents):
@@ -91,8 +92,6 @@ class Grid:
     def coordinate_fields(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays broadcast to the full cell shape."""
         axes = [self.centers(ax) for ax in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
@@ -216,8 +215,8 @@ def divergence(grid: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
 # --- snapshot / CSV file formats ------------------------------------------
 
 def write_snapshot(f: ScalarField, t: float, path) -> None:
-    """Write a field snapshot: header ``dim nx [ny] Lx [Ly] t``, then cell
-    values in row-major order, whitespace separated, full precision."""
+    """Write a field snapshot: header ``dim n_1..n_dim L_1..L_dim t``, then
+    cell values in row-major order, whitespace separated, full precision."""
     grid = f.grid
     head = [str(grid.dim)] + [str(n) for n in grid.cells]
     head += [f"{e:.17g}" for e in grid.extents] + [f"{t:.17g}"]
@@ -240,11 +239,13 @@ def read_snapshot(path) -> tuple[ScalarField, float]:
 
 
 def export_csv(f: ScalarField, path) -> None:
-    """Write cell coordinates and values as CSV (x[,y],value per row)."""
+    """Write cell coordinates and values as CSV, one row per cell: the axis
+    columns x, y, z, x4, x5, ... (as many as the grid has), then value."""
     grid = f.grid
     coords = grid.coordinate_fields()
     cols = [c.ravel() for c in coords] + [f.values.ravel()]
-    header = ",".join(["x", "y"][: grid.dim] + ["value"])
+    names = ["x", "y", "z"] + [f"x{ax + 1}" for ax in range(3, grid.dim)]
+    header = ",".join(names[: grid.dim] + ["value"])
     rows = [header]
     for vals in zip(*cols):
         rows.append(",".join(f"{v:.17g}" for v in vals))

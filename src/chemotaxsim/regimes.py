@@ -230,8 +230,8 @@ def lp_parameter_plan(c: float, h_frac: float, alpha_gap: float) -> LpPlan:
         raise ParameterError(f"c must lie in the open interval (1, 2), got {c}")
     if not (0.0 < h_frac < 1.0):
         raise ParameterError(f"h_frac must lie in (0, 1), got {h_frac}")
-    if not (alpha_gap > 0.0):
-        raise ParameterError(f"alpha_gap must be positive, got {alpha_gap}")
+    if not (0.0 < alpha_gap < math.inf):
+        raise ParameterError(f"alpha_gap must be positive and finite, got {alpha_gap}")
 
     gap = alpha_gap
     first: tuple[float, float] | None = None
@@ -269,8 +269,8 @@ def select_lp_exponent(dim: int) -> tuple[LpPlan, float]:
     carries the first-attempt window endpoints of the least-infeasible grid
     point.
     """
-    if dim not in (1, 2):
-        raise ParameterError(f"dim must be 1 or 2, got {dim}")
+    if dim < 1:
+        raise ParameterError(f"dim must be at least 1, got {dim}")
     target = float(max(dim, 3))
     best_err: InfeasiblePlanError | None = None
     best_deficit = math.inf
@@ -281,8 +281,9 @@ def select_lp_exponent(dim: int) -> tuple[LpPlan, float]:
             except InfeasiblePlanError as err:
                 deficit = err.p_star - err.p_star_upper
                 rel = deficit / max(abs(err.p_star), 1.0)
-                if rel < best_deficit:
-                    best_deficit = rel
+                # NaN endpoints (no admissible attempt) rank last
+                if best_err is None or rel < best_deficit:
+                    best_deficit = math.inf if math.isnan(rel) else rel
                     best_err = err
                 continue
             if plan.all_flags and plan.p > target:

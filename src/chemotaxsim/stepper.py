@@ -15,7 +15,7 @@ hold to roundoff, which is the backbone of the mass-bound monitors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,33 +32,32 @@ MAX_HALVINGS = 40
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Positive coefficient a(x, t) or b(x, t) with known global bounds.
+    """Positive coefficient a(x, t) or b(x, t) with known global bounds:
 
-    Families:
-      constant   -- a(x, t) = base
-      separable  -- a(x, t) = base * (1 + eps_x*cos(k*pi*x/L)) * (1 + eps_t*sin(omega*t))
-                    with |eps_x| + |eps_t| < 1 so the product stays positive.
+      a(x, t) = base * (1 + eps_x*cos(k*pi*x/L)) * (1 + eps_t*sin(omega*t))
+
+    with x the first coordinate, L its extent, and |eps_x| + |eps_t| < 1 so
+    the product stays positive.  eps_x = eps_t = 0 (the defaults) is the
+    constant ``base``: both factors are then exactly 1.
 
     ``inf``/``sup`` are bounds over the whole domain and all times, used by
     the a-priori mass ceiling and the reaction timestep guard.
     """
 
     base: float
-    family: str = "constant"
     eps_x: float = 0.0
     mode_k: float = 1.0
     eps_t: float = 0.0
     omega: float = 0.0
 
     def __post_init__(self):
-        if self.family not in ("constant", "separable"):
-            raise ParameterError(f"unknown coefficient family {self.family!r}")
         if not (self.base >= 0 and math.isfinite(self.base)):
             # base 0 is admitted for the pure-transport / heat-stencil test
             # modes; the positive-bounds model regime uses base > 0
             raise ParameterError(f"coefficient base must be >= 0, got {self.base}")
-        if self.family == "separable" and abs(self.eps_x) + abs(self.eps_t) >= 1.0:
-            raise ParameterError("separable coefficient needs |eps_x| + |eps_t| < 1")
+        if not (abs(self.eps_x) + abs(self.eps_t) < 1.0
+                and math.isfinite(self.mode_k) and math.isfinite(self.omega)):
+            raise ParameterError("coefficient needs |eps_x| + |eps_t| < 1 and finite k, omega")
 
     @classmethod
     def constant(cls, value: float) -> "CoefficientSpec":
@@ -67,8 +66,7 @@ class CoefficientSpec:
     @classmethod
     def separable(cls, base: float, eps_x: float = 0.0, mode_k: float = 1.0,
                   eps_t: float = 0.0, omega: float = 0.0) -> "CoefficientSpec":
-        return cls(base=base, family="separable", eps_x=eps_x, mode_k=mode_k,
-                   eps_t=eps_t, omega=omega)
+        return cls(base=base, eps_x=eps_x, mode_k=mode_k, eps_t=eps_t, omega=omega)
 
     def _cos_range(self) -> tuple[float, float]:
         # cos(k*pi*x/L) over x in [0, L]: max 1 at x=0; min -1 once k >= 1
@@ -77,14 +75,12 @@ class CoefficientSpec:
         return math.cos(self.mode_k * math.pi), 1.0
 
     def _x_factor_range(self) -> tuple[float, float]:
-        if self.family == "constant":
-            return 1.0, 1.0
         c_lo, c_hi = self._cos_range()
         vals = (1.0 + self.eps_x * c_lo, 1.0 + self.eps_x * c_hi)
         return min(vals), max(vals)
 
     def _t_factor_range(self) -> tuple[float, float]:
-        if self.family == "constant" or self.omega == 0.0:
+        if self.omega == 0.0:
             return 1.0, 1.0
         return 1.0 - abs(self.eps_t), 1.0 + abs(self.eps_t)
 
@@ -99,26 +95,20 @@ class CoefficientSpec:
     def evaluate(self, grid: Grid, t: float) -> np.ndarray:
         """Coefficient values at cell centers for time t."""
         profile = _x_profile(self, grid)
-        if self.family == "separable" and self.omega != 0.0:
+        if self.omega != 0.0:
             return profile * (1.0 + self.eps_t * math.sin(self.omega * t))
         return profile
 
     def scaled(self, factor: float) -> "CoefficientSpec":
-        return CoefficientSpec(base=self.base * factor, family=self.family,
-                               eps_x=self.eps_x, mode_k=self.mode_k,
-                               eps_t=self.eps_t, omega=self.omega)
+        return replace(self, base=self.base * factor)
 
 
 @lru_cache(maxsize=64)
 def _x_profile(spec: CoefficientSpec, grid: Grid) -> np.ndarray:
-    # callers must treat the cached array as read-only
-    if spec.family == "constant":
-        return np.full(grid.shape, spec.base)
+    # a read-only view, so the cached profile cannot be modified in place
     x = grid.centers(0)
     fx = spec.base * (1.0 + spec.eps_x * np.cos(spec.mode_k * np.pi * x / grid.extents[0]))
-    if grid.dim == 2:
-        return np.repeat(fx[:, None], grid.cells[1], axis=1)
-    return fx
+    return np.broadcast_to(fx.reshape((-1,) + (1,) * (grid.dim - 1)), grid.shape)
 
 
 @dataclass(frozen=True)

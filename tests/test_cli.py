@@ -58,8 +58,10 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     for override in ("run.t_end=nan", "run.t_end=inf", "run.diagnostics_every=inf",
-                     "run.snapshot_every=nan", "model.mu=nan", "model.nu=inf"):
-        assert main(["run", str(cfg_path), override,
+                     "run.snapshot_every=nan", "model.mu=nan", "model.nu=inf",
+                     "grid.dim=1 grid.cells=16,16",
+                     "grid.dim=2 grid.cells=8,8,8 grid.extent=1,2,3"):
+        assert main(["run", str(cfg_path), *override.split(),
                      "--outdir", str(tmp_path / "out")]) == 2, override
 
 

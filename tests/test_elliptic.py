@@ -8,11 +8,10 @@ from chemotaxsim.mesh import (Grid, ScalarField, divergence, face_gradient,
                               integrate)
 
 
-def mms_error_2d(n, mu=1.0, nu=1.0):
-    grid = Grid.box(1.0, 1.0, n, n)
-    X, Y = grid.coordinate_fields()
-    vstar = np.cos(np.pi * X) * np.cos(np.pi * Y)
-    u = ScalarField(grid, (mu + 2.0 * np.pi ** 2) * vstar / nu)
+def mms_error(n, dim, mu=1.0, nu=1.0):
+    grid = Grid((1.0,) * dim, (n,) * dim)
+    vstar = np.prod([np.cos(np.pi * x) for x in grid.coordinate_fields()], axis=0)
+    u = ScalarField(grid, (mu + dim * np.pi ** 2) * vstar / nu)
     v = solve_chemical(u, mu, nu)
     return float(np.abs(v.values - vstar).max())
 
@@ -29,23 +28,26 @@ def test_manufactured_solution_second_order_1d():
 
 
 def test_manufactured_solution_second_order_2d():
-    ratio = mms_error_2d(48) / mms_error_2d(96)
-    assert 3.4 <= ratio <= 4.6
+    # and in 3D, where the same FFT solve runs with no code of its own
+    for dim, n in ((2, 48), (3, 16)):
+        ratio = mms_error(n, dim) / mms_error(2 * n, dim)
+        assert 3.4 <= ratio <= 4.6
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mean_identity_random_sources(dim):
-    grid = Grid.line(1.0, 200) if dim == 1 else Grid.box(1.0, 1.0, 24, 24)
+    grid = {1: Grid.line(1.0, 200), 2: Grid.box(1.0, 1.0, 24, 24), 3: Grid((1.0,) * 3, (8,) * 3)}[dim]
     worst, min_v = mean_identity_defect(grid, 10, 17, (0.0, 1.0))
     assert worst <= 1e-9
     assert min_v > 0.0
 
 
 def test_positivity_for_spiky_source():
-    # the 2D FFT solve has no discrete maximum principle of its own; a corner
-    # spike with strong screening puts min v (about 1e-6 at the far corner)
-    # closest to roundoff
-    for grid, spike in ((Grid.line(1.0, 128), (5,)), (Grid.box(1.0, 1.0, 64, 64), (0, 0))):
+    # the FFT solve has no discrete maximum principle of its own; a corner
+    # spike with strong screening puts min v (about 1e-6 at the far corner
+    # in 2D, 4e-7 in 3D) closest to roundoff
+    for grid, spike in ((Grid.line(1.0, 128), (5,)), (Grid.box(1.0, 1.0, 64, 64), (0, 0)),
+                        (Grid((1.0,) * 3, (16,) * 3), (0, 0, 0))):
         vals = np.zeros(grid.shape)
         vals[spike] = 100.0
         v = solve_chemical(ScalarField(grid, vals), mu=50.0, nu=1.0)
@@ -109,8 +111,9 @@ def test_parameter_validation():
 
 
 @pytest.mark.parametrize("grid", [Grid.line(1.0, 2), Grid.line(1.0, 7),
-                                  Grid.box(1.0, 1.0, 2, 2), Grid.box(1.5, 1.0, 7, 5)],
-                         ids=["line2", "line7", "box2x2", "box7x5"])
+                                  Grid.box(1.0, 1.0, 2, 2), Grid.box(1.5, 1.0, 7, 5),
+                                  Grid((1.5, 1.0, 0.7), (3, 4, 5))],
+                         ids=["line2", "line7", "box2x2", "box7x5", "box3x4x5"])
 def test_solve_matches_dense_solve(grid):
     mu = 1.3
     dense = np.column_stack([apply_operator(grid, mu, e.reshape(grid.shape)).ravel()
@@ -140,9 +143,9 @@ def test_operator_matches_dense_matrix_1d():
 def test_operator_shares_the_stepper_diffusion_stencil():
     # the elliptic operator at mu=0 is minus the divergence of the face
     # gradients that the stepper's diffusive flux uses
-    grid = Grid.box(1.5, 1.0, 7, 5)
     gen = np.random.Generator(np.random.Philox(key=61))
-    v = ScalarField(grid, gen.normal(size=grid.shape))
-    expected = -divergence(grid, face_gradient(v))
-    got = apply_operator(grid, 0.0, v.values)
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    for grid in (Grid.box(1.5, 1.0, 7, 5), Grid((1.5, 1.0, 0.7), (3, 4, 5))):
+        v = ScalarField(grid, gen.normal(size=grid.shape))
+        expected = -divergence(grid, face_gradient(v))
+        got = apply_operator(grid, 0.0, v.values)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

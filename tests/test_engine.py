@@ -75,7 +75,10 @@ def test_separable_coefficient_from_config():
     kv["model.a.eps_x"] = "0.3"
     kv["model.a.k"] = "2"
     cfg = config_from_mapping(kv)
-    assert cfg.params.coeff_a.family == "separable"
+    assert cfg.params.coeff_a.eps_x == 0.3
+    x = cfg.grid.centers(0)
+    assert np.allclose(cfg.params.coeff_a.evaluate(cfg.grid, 0.0),
+                       2.0 * (1.0 + 0.3 * np.cos(2.0 * np.pi * x)), rtol=1e-14, atol=0.0)
     assert cfg.params.a_sup == pytest.approx(2.6)
     assert cfg.params.a_inf == pytest.approx(1.4)
 
@@ -194,22 +197,24 @@ def test_growing_classification():
 
 
 def test_2d_run_smoke():
-    cfg = RunConfig(grid=Grid.box(1.0, 1.0, 12, 12), t_end=0.05,
-                    ic=ICSpec(kind="gaussian", center=(0.5, 0.5), width=0.15,
-                              amplitude=1.0, baseline=0.2),
-                    grad_p=1.5)
-    outcome = run(cfg)
-    assert outcome.verdict in ("CompletedBounded", "CompletedGrowing")
-    assert outcome.records[-1].grad_ratio is not None
-    assert outcome.records[-1].grad_ratio > 0.0
-    # the gradient/Lp ratio monitor stays finite over the run and its peak
-    # lands in the summary
-    assert all(r.grad_ratio is not None and r.grad_ratio > 0.0
-               for r in outcome.records)
-    assert outcome.summary["grad_ratio_max"] >= outcome.records[-1].grad_ratio
-    # the Rayleigh-type bound holds in 2D as well
-    bound = cfg.params.mu * cfg.grid.measure
-    assert all(r.rayleigh <= bound * 1.05 for r in outcome.records)
+    # the 8^3 run covers the same path in 3D
+    for grid in (Grid.box(1.0, 1.0, 12, 12), Grid((1.0,) * 3, (8,) * 3)):
+        cfg = RunConfig(grid=grid, t_end=0.05,
+                        ic=ICSpec(kind="gaussian", center=(0.5,), width=0.15,
+                                  amplitude=1.0, baseline=0.2),
+                        grad_p=1.5)
+        outcome = run(cfg)
+        assert outcome.verdict in ("CompletedBounded", "CompletedGrowing")
+        assert outcome.records[-1].grad_ratio is not None
+        assert outcome.records[-1].grad_ratio > 0.0
+        # the gradient/Lp ratio monitor stays finite over the run and its peak
+        # lands in the summary
+        assert all(r.grad_ratio is not None and r.grad_ratio > 0.0
+                   for r in outcome.records)
+        assert outcome.summary["grad_ratio_max"] >= outcome.records[-1].grad_ratio
+        # the Rayleigh-type bound holds in 2D and 3D as well
+        bound = cfg.params.mu * cfg.grid.measure
+        assert all(r.rayleigh <= bound * 1.05 for r in outcome.records)
 
 
 IMPORT_PROBE = """

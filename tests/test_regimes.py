@@ -97,8 +97,9 @@ def test_lp_plan_rejects_degenerate_inputs():
         lp_parameter_plan(2.0, 0.5, 1e-3)
     with pytest.raises(ParameterError):
         lp_parameter_plan(1.5, 0.0, 1e-3)
-    with pytest.raises(ParameterError):
-        lp_parameter_plan(1.5, 0.5, 0.0)
+    for gap in (0.0, math.inf):
+        with pytest.raises(ParameterError):
+            lp_parameter_plan(1.5, 0.5, gap)
 
 
 def _window(c, h_frac, gap):
@@ -137,12 +138,19 @@ def test_lp_plan_infeasible_across_grid(c, h_frac):
         lp_parameter_plan(c, h_frac, 1e-2)
 
 
-def test_select_lp_exponent_reports_infeasibility():
-    for dim in (1, 2):
+def test_select_lp_exponent_reports_infeasibility(monkeypatch):
+    for dim in (1, 2, 3):
         with pytest.raises(InfeasiblePlanError) as err:
             select_lp_exponent(dim)
         assert math.isfinite(err.value.p_star)
         assert math.isfinite(err.value.p_star_upper)
+    # no grid point has an admissible attempt, so every report carries NaN
+    # endpoints; the first one is still reported
+    def no_attempt(c, h_frac, gap):
+        raise InfeasiblePlanError(f"none at c={c}", p_star=math.nan, p_star_upper=math.nan)
+    monkeypatch.setattr(regimes, "lp_parameter_plan", no_attempt)
+    with pytest.raises(InfeasiblePlanError, match="none at c=1.2"):
+        select_lp_exponent(1)
 
 
 def test_select_lp_exponent_reports_plans_with_false_flags(monkeypatch):

@@ -53,11 +53,12 @@ def test_separable_coefficient_validation():
 
 def test_separable_2d_varies_along_first_axis_only():
     spec = CoefficientSpec.separable(1.0, eps_x=0.5, mode_k=1.0)
-    grid = Grid.box(1.0, 1.0, 8, 4)
-    vals = spec.evaluate(grid, 0.0)
-    assert vals.shape == (8, 4)
-    assert np.allclose(vals[:, 0], vals[:, 3])
-    assert not np.allclose(vals[0, :], vals[7, :])
+    for grid in (Grid.box(1.0, 1.0, 8, 4), Grid((1.0, 1.0, 2.0), (8, 4, 3))):
+        vals = spec.evaluate(grid, 0.0)
+        assert vals.shape == grid.shape
+        flat = vals.reshape(8, -1)
+        assert np.all(flat == flat[:, :1])
+        assert not np.allclose(vals[0], vals[7])
 
 
 # --- chemotactic velocity ----------------------------------------------------
@@ -162,9 +163,9 @@ def test_logistic_ode_oracle_short():
     assert logistic_oracle(16, t_end=2.0)[0] <= 1e-3
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mass_identity_single_step(dim):
-    grid = Grid.line(1.0, 64) if dim == 1 else Grid.box(1.0, 1.0, 16, 16)
+    grid = {1: Grid.line(1.0, 64), 2: Grid.box(1.0, 1.0, 16, 16), 3: Grid((1.0,) * 3, (8,) * 3)}[dim]
     defect, mass0 = mass_identity_defect(grid, 41, (0.2, 1.8),
                                          constant_params(chi=1.5, a=1.2, b=0.7))
     assert defect <= 1e-12 * mass0
