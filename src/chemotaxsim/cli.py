@@ -67,7 +67,7 @@ def _cmd_run(args) -> int:
     config = engine.load_config(args.config, args.overrides)
     outdir = args.outdir or config.outdir or "out"
     outcome = engine.run(config, outdir=outdir)
-    print(json.dumps({
+    print(json.dumps(engine._json_safe({
         "verdict": outcome.verdict,
         "trigger": outcome.trigger,
         "t_reached": outcome.t_reached,
@@ -76,7 +76,7 @@ def _cmd_run(args) -> int:
         "min_min_v": outcome.min_min_v,
         "diagnostics": outcome.diagnostics_path,
         "summary": outcome.summary_path,
-    }, indent=2))
+    }), indent=2))
     if outcome.verdict == engine.VERDICT_BLOWUP:
         return EXIT_TRIGGER
     if outcome.verdict == engine.VERDICT_SOLVER:

@@ -11,6 +11,7 @@ Either way one residual check accepts the result.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,8 +92,7 @@ def _solve_fft(grid: Grid, mu: float, b: np.ndarray) -> np.ndarray:
 
 
 def _norm2(x: np.ndarray) -> float:
-    flat = x.ravel()
-    return float(np.sqrt(flat @ flat))
+    return math.sqrt(np.vdot(x, x))
 
 
 def _check_residual(grid: Grid, mu: float, b: np.ndarray, v: np.ndarray,
@@ -101,13 +101,17 @@ def _check_residual(grid: Grid, mu: float, b: np.ndarray, v: np.ndarray,
 
     The roundoff in any float64 solve is of order eps*||A||*||v||, and
     ||A||_inf = mu + sum_ax 4/h_ax^2 grows like h^-2, so a test relative to
-    ||b|| alone becomes unattainable on fine grids."""
+    ||b|| alone becomes unattainable on fine grids.  A NaN or inf residual
+    (v or the source overflowed) fails before any bound, which could itself
+    be inf, so an accepted v is finite."""
     res = _norm2(b - apply_operator(grid, mu, v))
+    if not res < math.inf:
+        raise SolverFailureError(f"elliptic solve residual is {res}", residual=res)
     b_norm = _norm2(b)
     if res <= rel_tol * b_norm:  # sufficient, and cheaper on the per-step path
         return
     a_norm = mu + sum(4.0 / h ** 2 for h in grid.spacing)
-    if res > rel_tol * (a_norm * _norm2(v) + b_norm):
+    if not res <= rel_tol * (a_norm * _norm2(v) + b_norm):
         raise SolverFailureError(f"elliptic solve residual {res:.3e} above tolerance",
                                  residual=res)
 

@@ -64,7 +64,9 @@ def build_ic(grid: Grid, ic: ICSpec, default_seed: int = 0) -> ScalarField:
     if ic.kind == "constant":
         u0 = ScalarField.full(grid, ic.value)
     elif ic.kind == "gaussian":
-        center = ic.center if len(ic.center) == grid.dim else ic.center[:1] * grid.dim
+        if len(ic.center) not in (1, grid.dim):
+            raise ConfigError(f"ic.center needs 1 or grid.dim={grid.dim} values")
+        center = ic.center * (grid.dim // len(ic.center))
         coords = grid.coordinate_fields()
         r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
         u0 = ScalarField(grid, ic.baseline + ic.amplitude * np.exp(-r2 / (2.0 * ic.width ** 2)))

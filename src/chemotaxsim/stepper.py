@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .elliptic import DEFAULT_ELLIPTIC, EllipticConfig, solve_chemical
 from .errors import (DegeneracyError, FieldOverflowError, ParameterError,
                      TimestepCollapseError)
-from .mesh import Grid, ScalarField, divergence, face_gradient
+from .mesh import Grid, ScalarField, face_gradient  # noqa: F401  (re-exported)
 
 # negatives no larger than this fraction of max u are roundoff, not physics
 CLAMP_FRACTION = 1e-14
@@ -69,10 +69,11 @@ class CoefficientSpec:
         return cls(base=base, eps_x=eps_x, mode_k=mode_k, eps_t=eps_t, omega=omega)
 
     def _cos_range(self) -> tuple[float, float]:
-        # cos(k*pi*x/L) over x in [0, L]: max 1 at x=0; min -1 once k >= 1
-        if self.mode_k >= 1.0:
+        # cos(k*pi*x/L) over x in [0, L]: max 1 at x=0; min -1 once |k| >= 1
+        k = abs(self.mode_k)  # cos is even
+        if k >= 1.0:
             return -1.0, 1.0
-        return math.cos(self.mode_k * math.pi), 1.0
+        return math.cos(k * math.pi), 1.0
 
     def _x_factor_range(self) -> tuple[float, float]:
         c_lo, c_hi = self._cos_range()
@@ -84,11 +85,11 @@ class CoefficientSpec:
             return 1.0, 1.0
         return 1.0 - abs(self.eps_t), 1.0 + abs(self.eps_t)
 
-    @property
+    @cached_property
     def inf(self) -> float:
         return self.base * self._x_factor_range()[0] * self._t_factor_range()[0]
 
-    @property
+    @cached_property
     def sup(self) -> float:
         return self.base * self._x_factor_range()[1] * self._t_factor_range()[1]
 
@@ -182,6 +183,21 @@ def initial_state(u0: ScalarField, params: ModelParams,
     return SimState(t=0.0, step=0, u=u0.copy(), v=v0)
 
 
+def _interior_drift(v: ScalarField, chi: float, v_floor: float) -> list[np.ndarray]:
+    """:func:`chemotactic_velocity` on the interior faces only."""
+    min_v = v.min()
+    if min_v < v_floor or min_v <= 0.0:
+        raise DegeneracyError(
+            f"chemical field at {min_v:.3e} dropped below floor {v_floor:.3e}", min_v=min_v)
+    grid = v.grid
+    out = []
+    for ax, h in enumerate(grid.spacing):
+        lo, hi, _ = grid.face_slices(ax)
+        v_lo, v_hi = v.values[lo], v.values[hi]
+        out.append(chi * ((v_hi - v_lo) / h) / (0.5 * (v_lo + v_hi)))
+    return out
+
+
 def chemotactic_velocity(v: ScalarField, chi: float,
                          v_floor: float = 0.0) -> list[np.ndarray]:
     """Face drift velocity w = chi * (face gradient of v) / (face-average v).
@@ -190,60 +206,56 @@ def chemotactic_velocity(v: ScalarField, chi: float,
     below v_floor means the singular sensitivity is no longer evaluable and
     raises DegeneracyError.
     """
-    min_v = v.min()
-    if min_v < v_floor or min_v <= 0.0:
-        raise DegeneracyError(
-            f"chemical field at {min_v:.3e} dropped below floor {v_floor:.3e}", min_v=min_v)
     grid = v.grid
-    if chi == 0.0:
-        return [np.zeros(grid.face_shape(ax)) for ax in range(grid.dim)]
     out = []
-    for ax, g in enumerate(face_gradient(v)):
-        lo, hi, inner = grid.face_slices(ax)
-        w = np.zeros_like(g)
-        v_avg = 0.5 * (v.values[lo] + v.values[hi])
-        w[inner] = chi * g[inner] / v_avg
+    for ax, w_in in enumerate(_interior_drift(v, chi, v_floor)):
+        w = np.zeros(grid.face_shape(ax))
+        w[grid.face_slices(ax)[2]] = w_in
         out.append(w)
     return out
 
 
-def _dt_from_guards(u: ScalarField, w: list[np.ndarray], params: ModelParams,
-                    cfg: StepperConfig) -> float:
-    """sigma * min(diffusion, advection, reaction guards); zero-denominator
-    guards are skipped.  Raises on collapse below dt_min."""
-    grid = u.grid
+def _drift_and_dt(state: SimState, params: ModelParams,
+                  cfg: StepperConfig) -> tuple[list[np.ndarray], float]:
+    """Interior-face drift from state.v, and the stable dt sigma *
+    min(diffusion, advection, reaction guards); zero-denominator guards are
+    skipped.  Raises on collapse below dt_min."""
+    w = _interior_drift(state.v, params.chi, cfg.v_floor)
+    grid = state.u.grid
     h_min = grid.min_spacing
     guards = [h_min * h_min / (2.0 * grid.dim)]
     w_max = max(float(np.abs(wa).max()) for wa in w)
     if w_max > 0.0:
         guards.append(h_min / w_max)
-    reaction_rate = params.a_sup + 2.0 * params.b_sup * u.max()
+    reaction_rate = params.a_sup + 2.0 * params.b_sup * state.u.max()
     if reaction_rate > 0.0:
         guards.append(1.0 / reaction_rate)
     dt = cfg.cfl_safety * min(guards)
     if dt < cfg.dt_min:
         raise TimestepCollapseError(f"proposed dt {dt:.3e} below dt_min {cfg.dt_min:.3e}", dt=dt)
-    return dt
+    return w, dt
 
 
 def propose_dt(state: SimState, params: ModelParams,
                cfg: StepperConfig = DEFAULT_STEPPER) -> float:
     """The dt the next uncapped :func:`advance` starts from; raises on
     collapse below dt_min."""
-    w = chemotactic_velocity(state.v, params.chi, cfg.v_floor)
-    return _dt_from_guards(state.u, w, params, cfg)
+    return _drift_and_dt(state, params, cfg)[1]
 
 
 def _explicit_rhs(u: ScalarField, w: list[np.ndarray],
                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """div(grad u - u_upwind * w) + u*(a - b*u), all in flux form."""
+    """div(grad u - u_upwind * w) + u*(a - b*u), all in flux form; w is the
+    drift on interior faces, and boundary faces carry zero flux."""
     grid = u.grid
-    fluxes = face_gradient(u)
-    for ax, (flux, w_ax) in enumerate(zip(fluxes, w)):
+    div = np.zeros(grid.shape)
+    for ax, (w_in, h) in enumerate(zip(w, grid.spacing)):
         lo, hi, inner = grid.face_slices(ax)
-        w_in = w_ax[inner]
-        flux[inner] -= np.where(w_in > 0.0, u.values[lo], u.values[hi]) * w_in
-    return divergence(grid, fluxes) + u.values * (a - b * u.values)
+        u_lo, u_hi = u.values[lo], u.values[hi]
+        flux = np.zeros(grid.face_shape(ax))
+        flux[inner] = (u_hi - u_lo) / h - np.where(w_in > 0.0, u_lo, u_hi) * w_in
+        div += (flux[hi] - flux[lo]) / h
+    return div + u.values * (a - b * u.values)
 
 
 def advance(state: SimState, params: ModelParams,
@@ -263,11 +275,13 @@ def advance(state: SimState, params: ModelParams,
     FieldOverflowError (u_ceiling), TimestepCollapseError (dt_min or retry
     budget), SolverFailureError (elliptic).  The state is assigned only
     after the new solve succeeds, so on any of them it still holds the last
-    consistent (u, V(u)) pair.
+    consistent (u, V(u)) pair.  The solve's source check is the step's one
+    finiteness pass: the positivity and u_ceiling tests reject a NaN or inf
+    u_new first, and the solve's residual check rejects a non-finite v.
     """
     grid = state.u.grid
-    w = chemotactic_velocity(state.v, params.chi, cfg.v_floor)
-    dt = min(_dt_from_guards(state.u, w, params, cfg), dt_cap)
+    w, dt = _drift_and_dt(state, params, cfg)
+    dt = min(dt, dt_cap)
 
     u_old = state.u.values
     a = params.coeff_a.evaluate(grid, state.t)

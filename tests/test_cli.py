@@ -52,6 +52,24 @@ def test_run_subcommand_solver_failure(cfg_path, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "SolverFailure"
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_run_subcommand_overflowing_source_is_a_solver_failure(cfg_path, tmp_path, capsys):
+    # nu*u overflows to inf, so the first solve returns a non-finite v; the
+    # residual check rejects it and the run fails at t=0 with strict JSON
+    code = main(["run", str(cfg_path), "grid.cells=16", "model.nu=1e308", "ic.value=10",
+                 "--outdir", str(tmp_path / "out")])
+    assert code == 4
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["verdict"] == "SolverFailure"
+    assert payload["steps"] == 0
+    assert (payload["peak_max_u"], payload["min_min_v"]) == ("-inf", "inf")
+
+
 def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model.unknown=1\n")
@@ -60,7 +78,8 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
     for override in ("run.t_end=nan", "run.t_end=inf", "run.diagnostics_every=inf",
                      "run.snapshot_every=nan", "model.mu=nan", "model.nu=inf",
                      "grid.dim=1 grid.cells=16,16",
-                     "grid.dim=2 grid.cells=8,8,8 grid.extent=1,2,3"):
+                     "grid.dim=2 grid.cells=8,8,8 grid.extent=1,2,3",
+                     "grid.dim=3 grid.cells=8 ic.kind=gaussian ic.center=0.2,0.8"):
         assert main(["run", str(cfg_path), *override.split(),
                      "--outdir", str(tmp_path / "out")]) == 2, override
 

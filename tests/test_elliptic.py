@@ -88,6 +88,24 @@ def test_unattainable_tolerance_raises_with_residual():
         assert err.value.residual > 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("grid", [Grid.line(1.0, 16), Grid.box(1.0, 1.0, 8, 6)],
+                         ids=["1d", "2d"])
+def test_non_finite_solution_fails_the_residual_check(grid):
+    # NaN compares False with any bound, and one inf cell makes the bound
+    # inf too; both must be rejected, never accepted
+    from chemotaxsim.elliptic import _check_residual
+    ones = np.ones(grid.shape)
+    one_inf = ones.copy()
+    one_inf.flat[3] = np.inf
+    for v in (np.full(grid.shape, np.nan), one_inf):
+        with pytest.raises(SolverFailureError):
+            _check_residual(grid, 1.0, ones, v, 1e-10)
+    with pytest.raises(SolverFailureError):  # nu*u overflows to inf
+        solve_chemical(ScalarField.full(grid, 10.0), 1.0, 1e308)
+
+
 def test_random_source_meets_residual_test_at_fine_resolution():
     # a test relative to ||b|| alone failed here: ||A|| ~ 4/h^2 scales the
     # roundoff of any float64 solve

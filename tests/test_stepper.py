@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chemotaxsim import stepper
+from chemotaxsim import elliptic, mesh, stepper
 from chemotaxsim.checks import logistic_oracle, mass_identity_defect
 from chemotaxsim.elliptic import solve_chemical
 from chemotaxsim.errors import (DegeneracyError, FieldOverflowError,
@@ -28,17 +28,21 @@ def test_constant_coefficient_bounds_and_values():
 
 
 def test_separable_coefficient_bounds_cover_samples():
-    spec = CoefficientSpec.separable(2.0, eps_x=0.3, mode_k=2.0, eps_t=0.4, omega=1.7)
+    # cos is even: a negative mode_k has the range of its absolute value,
+    # so the x factor's minimum is 1 - 0.3 for |k| >= 1 and 1 + 0.3*cos(pi/2)
+    # for |k| = 0.5
     grid = Grid.line(1.0, 200)
-    lo, hi = spec.inf, spec.sup
-    assert 0.0 < lo < hi
-    for t in np.linspace(0.0, 20.0, 60):
-        vals = spec.evaluate(grid, t)
-        assert vals.min() >= lo - 1e-12
-        assert vals.max() <= hi + 1e-12
-    # bounds are attained up to discretization of the extrema
-    assert spec.inf == pytest.approx(2.0 * 0.7 * 0.6)
-    assert spec.sup == pytest.approx(2.0 * 1.3 * 1.4)
+    for mode_k, x_lo in ((2.0, 0.7), (-2.0, 0.7), (-0.5, 1.0)):
+        spec = CoefficientSpec.separable(2.0, eps_x=0.3, mode_k=mode_k, eps_t=0.4, omega=1.7)
+        lo, hi = spec.inf, spec.sup
+        assert 0.0 < lo < hi
+        for t in np.linspace(0.0, 20.0, 60):
+            vals = spec.evaluate(grid, t)
+            assert vals.min() >= lo - 1e-12
+            assert vals.max() <= hi + 1e-12
+        # bounds are attained up to discretization of the extrema
+        assert spec.inf == pytest.approx(2.0 * x_lo * 0.6)
+        assert spec.sup == pytest.approx(2.0 * 1.3 * 1.4)
 
 
 def test_separable_coefficient_validation():
@@ -231,14 +235,15 @@ def test_mass_stays_below_ceiling_with_time_dependent_coefficients():
 
 
 def test_upwind_flux_hand_computed():
-    # n=4, h=0.25, u=[1,2,3,4], synthetic face velocities w=[0,+2,-2,+1,0]:
-    # donor cells are 0, 2, 2; fluxes (grad - donor*w) are 2, 10, 1; the
-    # divergence telescopes to [8, 32, -36, -4] and the logistic reaction
-    # with a=0.5, b=0.25 adds [0.25, 0, -0.75, -2]
+    # n=4, h=0.25, u=[1,2,3,4], synthetic interior face velocities
+    # w=[+2,-2,+1] (the boundary faces carry zero flux): donor cells are
+    # 0, 2, 2; fluxes (grad - donor*w) are 2, 10, 1; the divergence
+    # telescopes to [8, 32, -36, -4] and the logistic reaction with a=0.5,
+    # b=0.25 adds [0.25, 0, -0.75, -2]
     from chemotaxsim.stepper import _explicit_rhs
     grid = Grid.line(1.0, 4)
     u = np.array([1.0, 2.0, 3.0, 4.0])
-    w = [np.array([0.0, 2.0, -2.0, 1.0, 0.0])]
+    w = [np.array([2.0, -2.0, 1.0])]
     a = np.full(4, 0.5)
     b = np.full(4, 0.25)
     rhs = _explicit_rhs(ScalarField(grid, u), w, a, b)
@@ -329,3 +334,31 @@ def test_failed_solve_leaves_state_unchanged(monkeypatch):
     assert state.u is u and np.array_equal(state.u.values, u_values)
     assert state.v is v and np.array_equal(state.v.values, v_values)
     assert (state.t, state.step, state.dt_last) == (0.0, 0, 0.0)
+
+
+@pytest.mark.parametrize("grid", [Grid.line(1.0, 24), Grid.box(1.0, 1.0, 12, 10)],
+                         ids=["1d", "2d"])
+def test_accepted_step_checks_finiteness_once_and_solves_once(grid, monkeypatch):
+    # the accepted step's one finiteness pass is on the solve's source; the
+    # positivity and u_ceiling tests and the NaN-safe residual check cover
+    # the rest
+    params = constant_params(chi=2.0)
+    state = initial_state(ScalarField.from_function(
+        grid, lambda *xs: 1.0 + 0.5 * np.cos(np.pi * xs[0])), params)
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((mesh, "require_finite"), (elliptic, "require_finite"),
+                         (stepper, "solve_chemical"), (elliptic, "_check_residual"),
+                         (mesh, "face_gradient"), (stepper, "face_gradient")):
+        count(module, name)
+    advance(state, params)
+    assert state.step == 1
+    assert calls == {"require_finite": 1, "solve_chemical": 1, "_check_residual": 1}
