@@ -90,7 +90,10 @@ def _parse_axes(specs: list[str]) -> list[tuple[str, list[float]]]:
         if "=" not in spec:
             raise ConfigError(f"axis must look like name=v1,v2,..., got {spec!r}")
         name, values = spec.split("=", 1)
-        axes.append((name.strip(), [float(v) for v in values.split(",")]))
+        try:
+            axes.append((name.strip(), [float(v) for v in values.split(",")]))
+        except ValueError:
+            raise ConfigError(f"axis values must be numbers, got {spec!r}") from None
     return axes
 
 

@@ -92,7 +92,16 @@ def _solve_fft(grid: Grid, mu: float, b: np.ndarray) -> np.ndarray:
 
 
 def _norm2(x: np.ndarray) -> float:
-    return math.sqrt(np.vdot(x, x))
+    """Euclidean norm.  Only when the plain sum of squares overflows is it
+    taken again on x scaled by its largest entry, so the common case costs
+    one pass; an entry that is itself inf or NaN keeps the plain result."""
+    sq = np.vdot(x, x)
+    if sq == math.inf:
+        scale = float(np.abs(x).max())
+        if scale < math.inf:
+            y = x / scale
+            return scale * math.sqrt(np.vdot(y, y))
+    return math.sqrt(sq)
 
 
 def _check_residual(grid: Grid, mu: float, b: np.ndarray, v: np.ndarray,

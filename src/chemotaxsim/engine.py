@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (ConfigError, DegeneracyError, FieldOverflowError,
                      ParameterError, SimulationError, SolverFailureError,
                      TimestepCollapseError)
 from .mesh import Grid, ScalarField, integrate, write_snapshot
-from .regimes import beta_window, boundedness_threshold, threshold
+from .regimes import ThresholdVerdict, beta_window, boundedness_threshold
 from .stepper import (DEFAULT_STEPPER, CoefficientSpec, ModelParams,
                       SimState, StepperConfig, advance, initial_state)
 
@@ -58,6 +58,8 @@ class ICSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "gaussian", "random"):
             raise ConfigError(f"unknown ic kind {self.kind!r}")
+        if self.seed is not None and not 0 <= self.seed < 2 ** 128:  # a Philox key
+            raise ConfigError(f"ic seed must lie in [0, 2**128), got {self.seed}")
 
 
 def build_ic(grid: Grid, ic: ICSpec, default_seed: int = 0) -> ScalarField:
@@ -108,6 +110,9 @@ class RunConfig:
             raise ConfigError("cadence intervals must be finite and >= 0")
         if self.classify_factor <= 1.0:
             raise ConfigError("classify_factor must exceed 1")
+        if not 0 <= self.seed < 2 ** 64:
+            # sweep cell i keys its initial condition by (seed << 64) + i
+            raise ConfigError(f"run seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def cadence(self) -> float:
@@ -130,20 +135,28 @@ class RunOutcome:
 
 # --- config file parsing ----------------------------------------------------
 
-_KNOWN_KEYS = {
-    "grid.dim", "grid.cells", "grid.extent",
-    "model.chi", "model.mu", "model.nu",
-    "model.a", "model.a.eps_x", "model.a.k", "model.a.eps_t", "model.a.omega",
-    "model.b", "model.b.eps_x", "model.b.k", "model.b.eps_t", "model.b.omega",
-    "stepper.cfl_safety", "stepper.dt_min", "stepper.u_ceiling", "stepper.v_floor",
-    "elliptic.rel_tolerance",
-    "run.t_end", "run.diagnostics_every", "run.snapshot_every", "run.seed",
-    "run.classify_factor", "run.outdir",
-    "ic.kind", "ic.value", "ic.center", "ic.width", "ic.amplitude",
-    "ic.baseline", "ic.seed",
-    "diagnostics.p_list", "diagnostics.neg_p_list", "diagnostics.grad_p",
-    "diagnostics.auto_neg_p",
+def _field_keys(prefix: str, cls) -> dict[str, str]:
+    return {f"{prefix}.{f.name}": f.name for f in fields(cls)}
+
+
+# config key -> dataclass field, per section, in parse order; grid.* is parsed
+# apart for its broadcast rule.  Every default is the field's in RunConfig().
+_SECTION_KEYS = {
+    "params": {"model.chi": "chi", "model.mu": "mu", "model.nu": "nu"},
+    "coeff_a": {"model.a": "base", "model.a.eps_x": "eps_x", "model.a.k": "mode_k",
+                "model.a.eps_t": "eps_t", "model.a.omega": "omega"},
+    "coeff_b": {"model.b": "base", "model.b.eps_x": "eps_x", "model.b.k": "mode_k",
+                "model.b.eps_t": "eps_t", "model.b.omega": "omega"},
+    "stepper": _field_keys("stepper", StepperConfig),
+    "elliptic": _field_keys("elliptic", EllipticConfig),
+    "ic": _field_keys("ic", ICSpec),
+    "run": {"run.t_end": "t_end", "run.diagnostics_every": "diagnostics_every",
+            "run.snapshot_every": "snapshot_every", "diagnostics.p_list": "p_list",
+            "diagnostics.neg_p_list": "neg_p_list", "diagnostics.grad_p": "grad_p",
+            "diagnostics.auto_neg_p": "auto_neg_p", "run.classify_factor": "classify_factor",
+            "run.seed": "seed", "run.outdir": "outdir"},
 }
+_KNOWN_KEYS = {"grid.dim", "grid.cells", "grid.extent"}.union(*_SECTION_KEYS.values())
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -164,67 +177,48 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _bool(text: str) -> bool:
+    if text.lower() not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(f"expected a boolean (1/0, true/false, yes/no), got {text!r}")
+    return text.lower() in ("1", "true", "yes")
 
 
-def _coeff_from(kv: dict[str, str], prefix: str) -> CoefficientSpec:
-    return CoefficientSpec(base=float(kv.get(prefix, "1.0")),
-                           eps_x=float(kv.get(f"{prefix}.eps_x", "0")),
-                           mode_k=float(kv.get(f"{prefix}.k", "1")),
-                           eps_t=float(kv.get(f"{prefix}.eps_t", "0")),
-                           omega=float(kv.get(f"{prefix}.omega", "0")))
+# a field's annotation, less any "| None", picks the parser of its value
+_PARSERS = {"float": float, "int": int, "str": str, "bool": _bool, "tuple[float, ...]": _floats}
+
+
+def _parsed(name: str, obj, kv: dict[str, str]) -> dict:
+    """Field name -> value for the keys of section ``name`` present in
+    ``kv``, each parsed by the annotation of the field of ``obj`` it sets."""
+    types = {f.name: f.type for f in fields(obj)}
+    return {field: _PARSERS[types[field].removesuffix(" | None")](kv[key])
+            for key, field in _SECTION_KEYS[name].items() if key in kv}
 
 
 def config_from_mapping(kv: dict[str, str]) -> RunConfig:
+    """``RunConfig()`` with the keys present in ``kv`` applied."""
     unknown = set(kv) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    base = RunConfig()
     try:
-        dim = int(kv.get("grid.dim", "1"))
-        cells = _ints(kv.get("grid.cells", "64"))
-        extents = _floats(kv.get("grid.extent", "1.0"))
+        dim = int(kv.get("grid.dim", base.grid.dim))
+        cells = tuple(map(int, kv["grid.cells"].split(","))) if "grid.cells" in kv else base.grid.cells
+        extents = _floats(kv["grid.extent"]) if "grid.extent" in kv else base.grid.extents
         if {len(cells), len(extents)} - {1, dim}:
             raise ConfigError(f"grid.cells and grid.extent need 1 or grid.dim={dim} values")
         grid = Grid(extents * (dim // len(extents)), cells * (dim // len(cells)))
-        params = ModelParams(
-            chi=float(kv.get("model.chi", "1.0")),
-            mu=float(kv.get("model.mu", "1.0")),
-            nu=float(kv.get("model.nu", "1.0")),
-            coeff_a=_coeff_from(kv, "model.a"),
-            coeff_b=_coeff_from(kv, "model.b"),
-        )
-        stepper = StepperConfig(
-            cfl_safety=float(kv.get("stepper.cfl_safety", "0.4")),
-            dt_min=float(kv.get("stepper.dt_min", "1e-12")),
-            u_ceiling=float(kv.get("stepper.u_ceiling", "1e8")),
-            v_floor=float(kv.get("stepper.v_floor", "1e-12")),
-        )
-        elliptic = EllipticConfig(
-            rel_tolerance=float(kv.get("elliptic.rel_tolerance", "1e-10")))
-        ic = ICSpec(
-            kind=kv.get("ic.kind", "constant"),
-            value=float(kv.get("ic.value", "1.0")),
-            center=_floats(kv.get("ic.center", "0.5")),
-            width=float(kv.get("ic.width", "0.1")),
-            amplitude=float(kv.get("ic.amplitude", "1.0")),
-            baseline=float(kv.get("ic.baseline", "0.0")),
-            seed=int(kv["ic.seed"]) if "ic.seed" in kv else None,
-        )
-        grad_p = kv.get("diagnostics.grad_p")
-        return RunConfig(
-            grid=grid, params=params, stepper=stepper, elliptic=elliptic, ic=ic,
-            t_end=float(kv.get("run.t_end", "1.0")),
-            diagnostics_every=float(kv.get("run.diagnostics_every", "0")),
-            snapshot_every=float(kv.get("run.snapshot_every", "0")),
-            p_list=_floats(kv.get("diagnostics.p_list", "2")),
-            neg_p_list=_floats(kv["diagnostics.neg_p_list"]) if "diagnostics.neg_p_list" in kv else (),
-            grad_p=float(grad_p) if grad_p is not None else None,
-            auto_neg_p=kv.get("diagnostics.auto_neg_p", "true").lower() in ("1", "true", "yes"),
-            classify_factor=float(kv.get("run.classify_factor", "1.1")),
-            seed=int(kv.get("run.seed", "0")),
-            outdir=kv.get("run.outdir"),
-        )
+        # the model's scalars are parsed before its coefficients are built,
+        # so a bad value is reported in the table's parse order
+        model = _parsed("params", base.params, kv)
+        for name in ("coeff_a", "coeff_b"):
+            part = getattr(base.params, name)
+            model[name] = replace(part, **_parsed(name, part, kv))
+        sections = {"params": replace(base.params, **model)}
+        for name in ("stepper", "elliptic", "ic"):
+            part = getattr(base, name)
+            sections[name] = replace(part, **_parsed(name, part, kv))
+        return replace(base, grid=grid, **sections, **_parsed("run", base, kv))
     except ConfigError:
         raise
     except (ValueError, ParameterError) as err:
@@ -259,16 +253,12 @@ def _classify(records: list[diag.DiagnosticsRecord], factor: float) -> str:
 MAX_AUTO_NEG_P = 64.0
 
 
-def _monitored_neg_p(config: RunConfig) -> tuple[float, ...]:
+def _monitored_neg_p(config: RunConfig, thr: ThresholdVerdict) -> tuple[float, ...]:
     neg = list(config.neg_p_list)
-    if config.auto_neg_p:
-        verdict = boundedness_threshold(config.params.chi, config.params.mu,
-                                        config.params.a_inf)
-        if verdict.satisfied:
-            window = beta_window(config.params.chi, config.params.mu,
-                                 config.params.a_inf)
-            if window.p_hat <= MAX_AUTO_NEG_P and window.p_hat not in neg:
-                neg.append(window.p_hat)
+    if config.auto_neg_p and thr.satisfied:
+        window = beta_window(thr.chi, thr.mu, thr.a_inf)
+        if window.p_hat <= MAX_AUTO_NEG_P and window.p_hat not in neg:
+            neg.append(window.p_hat)
     return tuple(neg)
 
 
@@ -289,7 +279,8 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
             snapdir.mkdir(exist_ok=True)
 
     params = config.params
-    neg_p = _monitored_neg_p(config)
+    thr = boundedness_threshold(params.chi, params.mu, params.a_inf)
+    neg_p = _monitored_neg_p(config, thr)
     u0 = build_ic(config.grid, config.ic, default_seed=config.seed)
 
     def record_of(state: SimState) -> diag.DiagnosticsRecord:
@@ -307,8 +298,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
     n_snap = 0
     peak_u = -math.inf
     min_v = math.inf
-    steps = 0
-    t_reached = 0.0
+    state = None
 
     try:
         state = initial_state(u0, params, config.elliptic)
@@ -321,8 +311,6 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
         while config.t_end - state.t > eps_t:
             advance(state, params, config.stepper, config.elliptic,
                     dt_cap=config.t_end - state.t)
-            steps = state.step
-            t_reached = state.t
             peak_u = max(peak_u, state.u.max())
             min_v = min(min_v, state.v.min())
             if state.t + eps_t >= k_diag * cadence:
@@ -335,7 +323,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
         if not records or records[-1].t < state.t - eps_t:
             records.append(record_of(state))
         verdict = _classify(records, config.classify_factor)
-    except (DegeneracyError, FieldOverflowError, TimestepCollapseError) as err:
+    except tuple(TRIGGER_OF) as err:
         trigger = TRIGGER_OF[type(err)]
         failure = err
         verdict = VERDICT_BLOWUP
@@ -347,8 +335,10 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
         failure = err
         verdict = VERDICT_SOLVER
 
+    # a failed step leaves the state at its last accepted step
+    t_reached, steps = (state.t, state.step) if state is not None else (0.0, 0)
     summary = _summarize(config, records, verdict, trigger, failure,
-                         t_reached, steps, peak_u, min_v, neg_p)
+                         t_reached, steps, peak_u, min_v, neg_p, thr)
     outcome = RunOutcome(verdict=verdict, trigger=trigger, t_reached=t_reached,
                          steps=steps, peak_max_u=peak_u, min_min_v=min_v,
                          records=records, summary=summary)
@@ -365,7 +355,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
 
 
 def _summarize(config: RunConfig, records, verdict, trigger, failure,
-               t_reached, steps, peak_u, min_v, neg_p) -> dict:
+               t_reached, steps, peak_u, min_v, neg_p, thr: ThresholdVerdict) -> dict:
     params = config.params
     measure = config.grid.measure
     summary: dict = {
@@ -383,29 +373,22 @@ def _summarize(config: RunConfig, records, verdict, trigger, failure,
                   "b_inf": params.b_inf, "b_sup": params.b_sup},
         "monitored_neg_p": list(neg_p),
     }
-    thr = boundedness_threshold(params.chi, params.mu, params.a_inf)
     summary["threshold"] = {
         "value": thr.threshold, "a_inf": thr.a_inf, "satisfied": thr.satisfied,
-        "regime": _regime_label(params),
+        "regime": _regime_label(thr),
     }
     if records:
         mstar = diag.m_star(records[0].mass, params.a_sup, params.b_inf, measure)
-        worst = max(r.mass for r in records)
-        bound = mstar * (1.0 + diag.MASS_BOUND_SLACK)
-        summary["mass_bound"] = {"m_star": mstar, "worst_mass": worst,
-                                 "bound": bound, "passed": worst <= bound}
+        check = diag.check_mass_bound(max(records, key=lambda r: r.mass), mstar)
+        summary["mass_bound"] = {"m_star": mstar, "worst_mass": check.value,
+                                 "bound": check.bound, "passed": check.passed}
         rmax = max(r.rayleigh for r in records)
         summary["rayleigh"] = {"max_value": rmax, "bound": params.mu * measure,
                                "max_ratio": rmax / (params.mu * measure)}
         if len(records) >= 4 and trigger is None:
             floors = diag.trend_floors(records)
             tail = records[len(records) // 2:]
-            check = diag.check_persistence(tail, *floors)
-            summary["persistence"] = {
-                "passed": check.passed, "min_mass": check.min_mass,
-                "min_min_v": check.min_min_v, "mass_floor": check.mass_floor,
-                "v_floor": check.v_floor,
-            }
+            summary["persistence"] = asdict(diag.check_persistence(tail, *floors))
         else:
             summary["persistence"] = {"passed": trigger is None and bool(records)}
         slopes = [
@@ -434,11 +417,10 @@ def _json_safe(obj):
     return obj
 
 
-def _regime_label(params: ModelParams) -> str:
-    thr = threshold(params.chi, params.mu)
-    if params.a_inf > thr:
+def _regime_label(verdict: ThresholdVerdict) -> str:
+    if verdict.satisfied:
         return "above_threshold"
-    if params.a_inf == thr:
+    if verdict.a_inf == verdict.threshold:
         return "boundary"
     return "below_threshold"
 
@@ -465,8 +447,6 @@ def _cell_config(template: RunConfig, axes: list[tuple[str, float]],
             params = replace(params, coeff_a=params.coeff_a.scaled(value))
         elif key == "b_scale":
             params = replace(params, coeff_b=params.coeff_b.scaled(value))
-        else:
-            raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {key!r}")
     ic = template.ic
     if ic.seed is None:
         ic = replace(ic, seed=(template.seed << 64) + index)
@@ -506,43 +486,26 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
     if sorted(schedule) != list(range(len(jobs))):
         raise ConfigError("order must be a permutation of the cell indices")
 
-    results: dict[int, RunOutcome] = {}
+    scheduled = [jobs[pos] for pos in schedule]
     n_workers = workers if workers is not None else min(4, os.cpu_count() or 1)
     if n_workers <= 1 or len(jobs) <= 1:
-        for pos in schedule:
-            i, outcome = _run_cell(jobs[pos])
-            results[i] = outcome
+        results = dict(map(_run_cell, scheduled))
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for i, outcome in pool.map(_run_cell, [jobs[pos] for pos in schedule]):
-                results[i] = outcome
+            results = dict(pool.map(_run_cell, scheduled))
 
-    rows = []
-    outcomes = []
-    for i, combo in enumerate(combos):
-        outcome = results[i]
-        cell_params = jobs[i][1].params
-        row = {"cell": i}
-        row.update({k: v for k, v in zip(names, combo)})
-        row.update({
-            "verdict": outcome.verdict,
-            "trigger": outcome.trigger or "",
-            "regime": _regime_label(cell_params),
-            "t_reached": outcome.t_reached,
-            "peak_max_u": outcome.peak_max_u,
-            "min_min_v": outcome.min_min_v,
-        })
-        rows.append(row)
-        outcomes.append(outcome)
-
+    outcomes = [results[i] for i in range(len(jobs))]
+    rows = [{"cell": i, **dict(zip(names, combo)),
+             "verdict": o.verdict, "trigger": o.trigger or "",
+             "regime": o.summary["threshold"]["regime"], "t_reached": o.t_reached,
+             "peak_max_u": o.peak_max_u, "min_min_v": o.min_min_v}
+            for i, (combo, o) in enumerate(zip(combos, outcomes))]
     result = SweepResult(rows=rows, outcomes=outcomes,
                          cell_configs=[cfg for _, cfg in jobs])
     if out is not None:
         cols = ["cell"] + names + ["verdict", "trigger", "regime",
                                    "t_reached", "peak_max_u", "min_min_v"]
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_fmt_cell(row[c]) for c in cols))
+        lines = [",".join(cols)] + [",".join(_fmt_cell(row[c]) for c in cols) for row in rows]
         csv_path = out / "sweep.csv"
         csv_path.write_text("\n".join(lines) + "\n")
         result.csv_path = str(csv_path)

@@ -187,11 +187,11 @@ def build_plan(c: float, alpha: float, lam: float, h: float, p: float,
     cd_surplus = c * d - c - d
     i3_ratio = c * d * (p - l - r - 1.0) / cd_surplus if cd_surplus > 0 else math.inf
     eps = _select_eps(c, d, r, m, p, i3_ratio)
+    p_star = p_star_lower(c, h, alpha, lam)
 
     flags = {
         "lambda_window": 0.0 < lam < min(1.0 - alpha, (c - 1.0) / (2.0 * c - 1.0)),
-        "p_above_floor": p > max(2.0, h / lam, (1.0 - h) / (1.0 - alpha - lam),
-                                 (3.0 * c - 2.0) / (2.0 - 2.0 * c * alpha)),
+        "p_above_floor": p > p_star,
         "p_gt_l_r_1": p > l + r + 1.0,
         "m_positive": 2.0 * l - p + 2.0 > 0.0 and m > 0.0,
         "m_ratio": 2.0 * m / (2.0 - c) < p + 1.0,
@@ -205,7 +205,7 @@ def build_plan(c: float, alpha: float, lam: float, h: float, p: float,
                      and 2.0 * p + 2.0 - eps > d * (p + 1.0 - eps) / (p + 1.0 - eps - r * d),
     }
     return LpPlan(c=c, alpha=alpha, lam=lam, h=h, d=d, p=p, l=l, r=r, m=m,
-                  eps=eps, p_star=p_star_lower(c, h, alpha, lam),
+                  eps=eps, p_star=p_star,
                   p_star_upper=p_star_upper(c, h, alpha, lam),
                   alpha_gap=alpha_gap, shrink_count=shrink_count, flags=flags)
 

@@ -63,11 +63,6 @@ class CoefficientSpec:
     def constant(cls, value: float) -> "CoefficientSpec":
         return cls(base=value)
 
-    @classmethod
-    def separable(cls, base: float, eps_x: float = 0.0, mode_k: float = 1.0,
-                  eps_t: float = 0.0, omega: float = 0.0) -> "CoefficientSpec":
-        return cls(base=base, eps_x=eps_x, mode_k=mode_k, eps_t=eps_t, omega=omega)
-
     def _cos_range(self) -> tuple[float, float]:
         # cos(k*pi*x/L) over x in [0, L]: max 1 at x=0; min -1 once |k| >= 1
         k = abs(self.mode_k)  # cos is even

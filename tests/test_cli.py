@@ -79,7 +79,10 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
                      "run.snapshot_every=nan", "model.mu=nan", "model.nu=inf",
                      "grid.dim=1 grid.cells=16,16",
                      "grid.dim=2 grid.cells=8,8,8 grid.extent=1,2,3",
-                     "grid.dim=3 grid.cells=8 ic.kind=gaussian ic.center=0.2,0.8"):
+                     "grid.dim=3 grid.cells=8 ic.kind=gaussian ic.center=0.2,0.8",
+                     "ic.kind=random ic.seed=-1", f"ic.seed={2 ** 128}",
+                     "run.seed=-3", f"run.seed={2 ** 64}",
+                     "diagnostics.auto_neg_p=ture"):
         assert main(["run", str(cfg_path), *override.split(),
                      "--outdir", str(tmp_path / "out")]) == 2, override
 
@@ -93,8 +96,8 @@ def test_sweep_subcommand(cfg_path, tmp_path, capsys):
     assert payload["cells"] == 2
     table = Path(payload["table"]).read_text().splitlines()
     assert len(table) == 3
-    assert main(["sweep", str(cfg_path), "--axis", "nu=1,2",
-                 "--outdir", str(out)]) == 2
+    for axis in ("nu=1,2", "chi=abc"):
+        assert main(["sweep", str(cfg_path), "--axis", axis, "--outdir", str(out)]) == 2, axis
 
 
 def test_regimes_subcommand(capsys):

@@ -116,6 +116,23 @@ def test_random_source_meets_residual_test_at_fine_resolution():
         assert integrate(v) == pytest.approx(integrate(u), rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e160, 1e175])
+def test_residual_check_holds_for_sources_whose_squares_overflow(scale):
+    # the plain sum of squares of this 24-cell source is inf, so an unscaled
+    # ||b|| made the bound inf: at 1e155 a wrong v passed, and at 1e175 the
+    # residual's squares overflowed too, so a correct solve was rejected
+    from chemotaxsim.elliptic import _check_residual, _norm2
+    grid = Grid.line(1.0, 24)
+    profile = 1.0 + 0.5 * np.cos(np.pi * grid.centers(0))
+    b = scale * profile
+    assert _norm2(b) == pytest.approx(scale * np.linalg.norm(profile), rel=1e-14)
+    v = solve_chemical(ScalarField(grid, b), 1.0, 1.0).values
+    unit = solve_chemical(ScalarField(grid, profile), 1.0, 1.0).values
+    assert np.allclose(v / scale, unit, rtol=1e-13, atol=0.0)
+    with pytest.raises(SolverFailureError):
+        _check_residual(grid, 1.0, b, v * (1.0 + 1e-5), 1e-10)
+
+
 def test_parameter_validation():
     grid = Grid.line(1.0, 16)
     u = ScalarField.full(grid, 1.0)

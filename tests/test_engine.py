@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from chemotaxsim.engine import (ICSpec, RunConfig, build_ic, config_from_mapping
 from chemotaxsim.elliptic import solve_chemical
 from chemotaxsim.errors import ConfigError
 from chemotaxsim.mesh import Grid, read_snapshot
+from chemotaxsim.regimes import threshold
 from chemotaxsim.stepper import CoefficientSpec, ModelParams, StepperConfig
 
 STEADY_TEXT = """
@@ -57,6 +59,55 @@ def test_config_from_mapping_and_unknown_keys():
         config_from_mapping({"model.xi": "1.0"})
     with pytest.raises(ConfigError):
         config_from_mapping({"model.chi": "not-a-number"})
+
+
+# every config key, each set away from its default
+ALL_KEYS = {
+    "grid.dim": "2", "grid.cells": "8,6", "grid.extent": "1.0,2.0",
+    "model.chi": "1.5", "model.mu": "2", "model.nu": "0.5",
+    "model.a": "2.0", "model.a.eps_x": "0.3", "model.a.k": "-2", "model.a.eps_t": "0.2",
+    "model.a.omega": "1.5", "model.b": "0.7", "model.b.eps_x": "0.1", "model.b.k": "3",
+    "model.b.eps_t": "0.05", "model.b.omega": "2",
+    "stepper.cfl_safety": "0.3", "stepper.dt_min": "1e-10", "stepper.u_ceiling": "1e6",
+    "stepper.v_floor": "1e-9", "elliptic.rel_tolerance": "1e-9",
+    "run.t_end": "0.3", "run.diagnostics_every": "0.05", "run.snapshot_every": "0.1",
+    "run.seed": "17", "run.classify_factor": "1.2", "run.outdir": "somewhere",
+    "ic.kind": "gaussian", "ic.value": "2", "ic.center": "0.4,0.6", "ic.width": "0.2",
+    "ic.amplitude": "1.5", "ic.baseline": "0.1", "ic.seed": "99",
+    "diagnostics.p_list": "2,3", "diagnostics.neg_p_list": "1,2", "diagnostics.grad_p": "1.5",
+    "diagnostics.auto_neg_p": "false",
+}
+
+
+def test_config_schema_defaults_fields_and_readme():
+    assert config_from_mapping({}) == RunConfig()
+    assert engine._KNOWN_KEYS == set(ALL_KEYS) and len(ALL_KEYS) == 38
+    # each key sets the field its section names and nothing else in it
+    def section(cfg, name):
+        if name in ("coeff_a", "coeff_b"):
+            return getattr(cfg.params, name)
+        return cfg if name == "run" else getattr(cfg, name)
+
+    for name, keys in engine._SECTION_KEYS.items():
+        default = section(RunConfig(), name)
+        for key, field in keys.items():
+            got = section(config_from_mapping({key: ALL_KEYS[key]}), name)
+            assert getattr(got, field) != getattr(default, field), key
+            assert replace(got, **{field: getattr(default, field)}) == default, key
+    grid = config_from_mapping(ALL_KEYS).grid
+    assert (grid.cells, grid.extents) == ((8, 6), (1.0, 2.0))
+    # doc-drift guard: the README lists every key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [key for key in ALL_KEYS if f"`{key}`" not in readme] == []
+
+
+def test_config_booleans_are_strict():
+    for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                        ("0", False), ("false", False), ("NO", False)):
+        assert config_from_mapping({"diagnostics.auto_neg_p": text}).auto_neg_p is value
+    for text in ("ture", "", "2", "on"):
+        with pytest.raises(ConfigError, match="boolean"):
+            config_from_mapping({"diagnostics.auto_neg_p": text})
 
 
 def test_load_config_with_overrides(tmp_path):
@@ -308,7 +359,7 @@ def test_sweep_rows_and_regime_labels(tmp_path):
                    outdir=tmp_path / "sw", workers=1)
     assert len(result.rows) == 4
     for row in result.rows:
-        thr = engine.threshold(row["chi"], 1.0)
+        thr = threshold(row["chi"], 1.0)
         expected = "above_threshold" if row["a_scale"] * 1.0 > thr else (
             "boundary" if row["a_scale"] * 1.0 == thr else "below_threshold")
         assert row["regime"] == expected

@@ -33,7 +33,7 @@ def test_separable_coefficient_bounds_cover_samples():
     # for |k| = 0.5
     grid = Grid.line(1.0, 200)
     for mode_k, x_lo in ((2.0, 0.7), (-2.0, 0.7), (-0.5, 1.0)):
-        spec = CoefficientSpec.separable(2.0, eps_x=0.3, mode_k=mode_k, eps_t=0.4, omega=1.7)
+        spec = CoefficientSpec(2.0, eps_x=0.3, mode_k=mode_k, eps_t=0.4, omega=1.7)
         lo, hi = spec.inf, spec.sup
         assert 0.0 < lo < hi
         for t in np.linspace(0.0, 20.0, 60):
@@ -47,7 +47,7 @@ def test_separable_coefficient_bounds_cover_samples():
 
 def test_separable_coefficient_validation():
     with pytest.raises(ParameterError):
-        CoefficientSpec.separable(1.0, eps_x=0.6, eps_t=0.5)
+        CoefficientSpec(1.0, eps_x=0.6, eps_t=0.5)
     with pytest.raises(ParameterError):
         CoefficientSpec.constant(-1.0)
     with pytest.raises(ParameterError):
@@ -56,7 +56,7 @@ def test_separable_coefficient_validation():
 
 
 def test_separable_2d_varies_along_first_axis_only():
-    spec = CoefficientSpec.separable(1.0, eps_x=0.5, mode_k=1.0)
+    spec = CoefficientSpec(1.0, eps_x=0.5, mode_k=1.0)
     for grid in (Grid.box(1.0, 1.0, 8, 4), Grid((1.0, 1.0, 2.0), (8, 4, 3))):
         vals = spec.evaluate(grid, 0.0)
         assert vals.shape == grid.shape
@@ -222,8 +222,8 @@ def test_mass_stays_below_ceiling_with_time_dependent_coefficients():
     grid = Grid.line(1.0, 32)
     params = ModelParams(
         1.0, 1.0, 1.0,
-        CoefficientSpec.separable(1.5, eps_x=0.4, mode_k=1.0, eps_t=0.3, omega=5.0),
-        CoefficientSpec.separable(0.8, eps_x=0.2, mode_k=2.0, eps_t=0.1, omega=3.0),
+        CoefficientSpec(1.5, eps_x=0.4, mode_k=1.0, eps_t=0.3, omega=5.0),
+        CoefficientSpec(0.8, eps_x=0.2, mode_k=2.0, eps_t=0.1, omega=3.0),
     )
     u0 = ScalarField(grid, gen.uniform(0.0, 4.0, grid.shape))
     state = initial_state(u0, params)
