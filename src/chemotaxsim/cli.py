@@ -26,6 +26,12 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_TRIGGER = 3
 EXIT_SOLVER = 4
+# a verdict not listed exits EXIT_OK; a sweep exits with its cells' largest code
+EXIT_OF_VERDICT = {engine.VERDICT_BLOWUP: EXIT_TRIGGER, engine.VERDICT_SOLVER: EXIT_SOLVER}
+
+
+def _exit_code(outcomes) -> int:
+    return max((EXIT_OF_VERDICT.get(o.verdict, EXIT_OK) for o in outcomes), default=EXIT_OK)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,21 +73,10 @@ def _cmd_run(args) -> int:
     config = engine.load_config(args.config, args.overrides)
     outdir = args.outdir or config.outdir or "out"
     outcome = engine.run(config, outdir=outdir)
-    print(json.dumps(engine._json_safe({
-        "verdict": outcome.verdict,
-        "trigger": outcome.trigger,
-        "t_reached": outcome.t_reached,
-        "steps": outcome.steps,
-        "peak_max_u": outcome.peak_max_u,
-        "min_min_v": outcome.min_min_v,
-        "diagnostics": outcome.diagnostics_path,
-        "summary": outcome.summary_path,
-    }), indent=2))
-    if outcome.verdict == engine.VERDICT_BLOWUP:
-        return EXIT_TRIGGER
-    if outcome.verdict == engine.VERDICT_SOLVER:
-        return EXIT_SOLVER
-    return EXIT_OK
+    facts = {k: v for k, v in outcome.facts().items() if k != "failure"}
+    print(json.dumps(engine._json_safe({**facts, "diagnostics": outcome.diagnostics_path,
+                                        "summary": outcome.summary_path}), indent=2))
+    return _exit_code([outcome])
 
 
 def _parse_axes(specs: list[str]) -> list[tuple[str, list[float]]]:
@@ -102,19 +97,14 @@ def _cmd_sweep(args) -> int:
     outdir = args.outdir or config.outdir or "out"
     result = engine.sweep(config, _parse_axes(args.axis), outdir=outdir,
                           workers=args.workers)
-    triggered = sum(1 for row in result.rows if row["trigger"])
-    failed = sum(1 for row in result.rows if row["verdict"] == engine.VERDICT_SOLVER)
+    verdicts = [o.verdict for o in result.outcomes]
     print(json.dumps({
-        "cells": len(result.rows),
-        "triggers": triggered,
-        "solver_failures": failed,
+        "cells": len(verdicts),
+        "triggers": verdicts.count(engine.VERDICT_BLOWUP),
+        "solver_failures": verdicts.count(engine.VERDICT_SOLVER),
         "table": result.csv_path,
     }, indent=2))
-    if failed:
-        return EXIT_SOLVER
-    if triggered:
-        return EXIT_TRIGGER
-    return EXIT_OK
+    return _exit_code(result.outcomes)
 
 
 def _cmd_regimes(args) -> int:
@@ -160,10 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "regimes":
             return _cmd_regimes(args)
         return _cmd_check()
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as err:
+    except (ConfigError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as err:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,7 @@ import numpy as np
 from . import diagnostics as diag
 from .elliptic import DEFAULT_ELLIPTIC, EllipticConfig
 from .errors import (ConfigError, DegeneracyError, FieldOverflowError,
-                     ParameterError, SimulationError, SolverFailureError,
-                     TimestepCollapseError)
+                     ParameterError, SolverFailureError, TimestepCollapseError)
 from .mesh import Grid, ScalarField, integrate, write_snapshot
 from .regimes import ThresholdVerdict, beta_window, boundedness_threshold
 from .stepper import (DEFAULT_STEPPER, CoefficientSpec, ModelParams,
@@ -60,6 +59,10 @@ class ICSpec:
             raise ConfigError(f"unknown ic kind {self.kind!r}")
         if self.seed is not None and not 0 <= self.seed < 2 ** 128:  # a Philox key
             raise ConfigError(f"ic seed must lie in [0, 2**128), got {self.seed}")
+        if not all(map(math.isfinite, (self.value, self.amplitude, self.baseline, *self.center))):
+            raise ConfigError("ic value, amplitude, baseline and center must be finite")
+        if not 0 < self.width < math.inf:
+            raise ConfigError(f"ic width must be positive and finite, got {self.width}")
 
 
 def build_ic(grid: Grid, ic: ICSpec, default_seed: int = 0) -> ScalarField:
@@ -108,8 +111,16 @@ class RunConfig:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if not (0 <= self.diagnostics_every < math.inf and 0 <= self.snapshot_every < math.inf):
             raise ConfigError("cadence intervals must be finite and >= 0")
-        if self.classify_factor <= 1.0:
+        if not self.classify_factor > 1.0:
             raise ConfigError("classify_factor must exceed 1")
+        # the ranges the monitored functionals are defined on
+        if not all(p >= 1.0 for p in self.p_list):
+            raise ConfigError(f"diagnostics.p_list needs every p >= 1, got {self.p_list}")
+        if not all(p > 0.0 for p in self.neg_p_list):
+            raise ConfigError(f"diagnostics.neg_p_list needs every p > 0, got {self.neg_p_list}")
+        if self.grad_p is not None and not 1.0 < self.grad_p < self.grid.dim:
+            raise ConfigError(f"diagnostics.grad_p needs 1 < p < grid.dim={self.grid.dim}, "
+                              f"got {self.grad_p}")
         if not 0 <= self.seed < 2 ** 64:
             # sweep cell i keys its initial condition by (seed << 64) + i
             raise ConfigError(f"run seed must lie in [0, 2**64), got {self.seed}")
@@ -121,16 +132,23 @@ class RunConfig:
 
 @dataclass
 class RunOutcome:
+    # the run facts: the fields before ``records``, which head summary.json
+    # in this order
     verdict: str
     trigger: str | None
+    failure: str | None
     t_reached: float
     steps: int
     peak_max_u: float
     min_min_v: float
     records: list[diag.DiagnosticsRecord]
-    summary: dict
+    summary: dict = field(default_factory=dict)
     diagnostics_path: str | None = None
     summary_path: str | None = None
+
+    def facts(self) -> dict:
+        names = [f.name for f in fields(self)]
+        return {name: getattr(self, name) for name in names[:names.index("records")]}
 
 
 # --- config file parsing ----------------------------------------------------
@@ -187,12 +205,23 @@ def _bool(text: str) -> bool:
 _PARSERS = {"float": float, "int": int, "str": str, "bool": _bool, "tuple[float, ...]": _floats}
 
 
+def _parse(kv: dict[str, str], key: str, parser, default=None):
+    """``kv[key]`` parsed by ``parser``, or ``default`` when the key is
+    absent; a value that does not parse is reported under its key."""
+    if key not in kv:
+        return default
+    try:
+        return parser(kv[key])
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from err
+
+
 def _parsed(name: str, obj, kv: dict[str, str]) -> dict:
     """Field name -> value for the keys of section ``name`` present in
     ``kv``, each parsed by the annotation of the field of ``obj`` it sets."""
     types = {f.name: f.type for f in fields(obj)}
-    return {field: _PARSERS[types[field].removesuffix(" | None")](kv[key])
-            for key, field in _SECTION_KEYS[name].items() if key in kv}
+    return {attr: _parse(kv, key, _PARSERS[types[attr].removesuffix(" | None")])
+            for key, attr in _SECTION_KEYS[name].items() if key in kv}
 
 
 def config_from_mapping(kv: dict[str, str]) -> RunConfig:
@@ -202,9 +231,10 @@ def config_from_mapping(kv: dict[str, str]) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base = RunConfig()
     try:
-        dim = int(kv.get("grid.dim", base.grid.dim))
-        cells = tuple(map(int, kv["grid.cells"].split(","))) if "grid.cells" in kv else base.grid.cells
-        extents = _floats(kv["grid.extent"]) if "grid.extent" in kv else base.grid.extents
+        dim = _parse(kv, "grid.dim", int, base.grid.dim)
+        cells = _parse(kv, "grid.cells", lambda text: tuple(map(int, text.split(","))),
+                       base.grid.cells)
+        extents = _parse(kv, "grid.extent", _floats, base.grid.extents)
         if {len(cells), len(extents)} - {1, dim}:
             raise ConfigError(f"grid.cells and grid.extent need 1 or grid.dim={dim} values")
         grid = Grid(extents * (dim // len(extents)), cells * (dim // len(cells)))
@@ -279,7 +309,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
             snapdir.mkdir(exist_ok=True)
 
     params = config.params
-    thr = boundedness_threshold(params.chi, params.mu, params.a_inf)
+    thr = boundedness_threshold(params.chi, params.mu, params.coeff_a.inf)
     neg_p = _monitored_neg_p(config, thr)
     u0 = build_ic(config.grid, config.ic, default_seed=config.seed)
 
@@ -288,8 +318,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
                                    p_list=config.p_list, neg_p_list=neg_p,
                                    grad_p=config.grad_p)
 
-    trigger = None
-    failure: SimulationError | None = None
+    trigger = failure = None
     records: list[diag.DiagnosticsRecord] = []
     eps_t = 1e-12 * max(1.0, config.t_end)
     cadence = config.cadence
@@ -324,53 +353,40 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
             records.append(record_of(state))
         verdict = _classify(records, config.classify_factor)
     except tuple(TRIGGER_OF) as err:
-        trigger = TRIGGER_OF[type(err)]
-        failure = err
-        verdict = VERDICT_BLOWUP
+        trigger, failure, verdict = TRIGGER_OF[type(err)], str(err), VERDICT_BLOWUP
         if isinstance(err, FieldOverflowError) and math.isfinite(err.max_u):
             peak_u = max(peak_u, err.max_u)
         if isinstance(err, DegeneracyError) and math.isfinite(err.min_v):
             min_v = min(min_v, err.min_v)
     except SolverFailureError as err:
-        failure = err
-        verdict = VERDICT_SOLVER
+        failure, verdict = str(err), VERDICT_SOLVER
 
     # a failed step leaves the state at its last accepted step
     t_reached, steps = (state.t, state.step) if state is not None else (0.0, 0)
-    summary = _summarize(config, records, verdict, trigger, failure,
-                         t_reached, steps, peak_u, min_v, neg_p, thr)
-    outcome = RunOutcome(verdict=verdict, trigger=trigger, t_reached=t_reached,
-                         steps=steps, peak_max_u=peak_u, min_min_v=min_v,
-                         records=records, summary=summary)
+    outcome = RunOutcome(verdict, trigger, failure, t_reached, steps, peak_u, min_v, records)
+    outcome.summary = _summarize(config, outcome, neg_p, thr)
     if out is not None:
         diag_path = out / "diagnostics.csv"
         lines = [diag.csv_header(config.p_list, neg_p, config.grad_p)]
         lines += [diag.csv_row(r, config.p_list, neg_p, config.grad_p) for r in records]
         diag_path.write_text("\n".join(lines) + "\n")
         summary_path = out / "summary.json"
-        summary_path.write_text(json.dumps(_json_safe(summary), indent=2) + "\n")
+        summary_path.write_text(json.dumps(_json_safe(outcome.summary), indent=2) + "\n")
         outcome.diagnostics_path = str(diag_path)
         outcome.summary_path = str(summary_path)
     return outcome
 
 
-def _summarize(config: RunConfig, records, verdict, trigger, failure,
-               t_reached, steps, peak_u, min_v, neg_p, thr: ThresholdVerdict) -> dict:
-    params = config.params
+def _summarize(config: RunConfig, outcome: RunOutcome, neg_p, thr: ThresholdVerdict) -> dict:
+    params, records, trigger = config.params, outcome.records, outcome.trigger
+    a, b = params.coeff_a, params.coeff_b
     measure = config.grid.measure
     summary: dict = {
-        "verdict": verdict,
-        "trigger": trigger,
-        "failure": str(failure) if failure is not None else None,
-        "t_reached": t_reached,
-        "steps": steps,
-        "peak_max_u": peak_u,
-        "min_min_v": min_v,
+        **outcome.facts(),
         "seed": config.seed,
         "grid": {"extents": list(config.grid.extents), "cells": list(config.grid.cells)},
         "model": {"chi": params.chi, "mu": params.mu, "nu": params.nu,
-                  "a_inf": params.a_inf, "a_sup": params.a_sup,
-                  "b_inf": params.b_inf, "b_sup": params.b_sup},
+                  "a_inf": a.inf, "a_sup": a.sup, "b_inf": b.inf, "b_sup": b.sup},
         "monitored_neg_p": list(neg_p),
     }
     summary["threshold"] = {
@@ -378,7 +394,7 @@ def _summarize(config: RunConfig, records, verdict, trigger, failure,
         "regime": _regime_label(thr),
     }
     if records:
-        mstar = diag.m_star(records[0].mass, params.a_sup, params.b_inf, measure)
+        mstar = diag.m_star(records[0].mass, a.sup, b.inf, measure)
         check = diag.check_mass_bound(max(records, key=lambda r: r.mass), mstar)
         summary["mass_bound"] = {"m_star": mstar, "worst_mass": check.value,
                                  "bound": check.bound, "passed": check.passed}
@@ -495,16 +511,13 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
             results = dict(pool.map(_run_cell, scheduled))
 
     outcomes = [results[i] for i in range(len(jobs))]
-    rows = [{"cell": i, **dict(zip(names, combo)),
-             "verdict": o.verdict, "trigger": o.trigger or "",
-             "regime": o.summary["threshold"]["regime"], "t_reached": o.t_reached,
-             "peak_max_u": o.peak_max_u, "min_min_v": o.min_min_v}
+    cols = ["cell", *names, "verdict", "trigger", "regime", "t_reached", "peak_max_u", "min_min_v"]
+    rows = [dict(zip(cols, (i, *combo, o.verdict, o.trigger or "", o.summary["threshold"]["regime"],
+                            o.t_reached, o.peak_max_u, o.min_min_v)))
             for i, (combo, o) in enumerate(zip(combos, outcomes))]
     result = SweepResult(rows=rows, outcomes=outcomes,
                          cell_configs=[cfg for _, cfg in jobs])
     if out is not None:
-        cols = ["cell"] + names + ["verdict", "trigger", "regime",
-                                   "t_reached", "peak_max_u", "min_min_v"]
         lines = [",".join(cols)] + [",".join(_fmt_cell(row[c]) for c in cols) for row in rows]
         csv_path = out / "sweep.csv"
         csv_path.write_text("\n".join(lines) + "\n")

@@ -63,30 +63,17 @@ class CoefficientSpec:
     def constant(cls, value: float) -> "CoefficientSpec":
         return cls(base=value)
 
-    def _cos_range(self) -> tuple[float, float]:
-        # cos(k*pi*x/L) over x in [0, L]: max 1 at x=0; min -1 once |k| >= 1
-        k = abs(self.mode_k)  # cos is even
-        if k >= 1.0:
-            return -1.0, 1.0
-        return math.cos(k * math.pi), 1.0
-
-    def _x_factor_range(self) -> tuple[float, float]:
-        c_lo, c_hi = self._cos_range()
-        vals = (1.0 + self.eps_x * c_lo, 1.0 + self.eps_x * c_hi)
-        return min(vals), max(vals)
-
-    def _t_factor_range(self) -> tuple[float, float]:
-        if self.omega == 0.0:
-            return 1.0, 1.0
-        return 1.0 - abs(self.eps_t), 1.0 + abs(self.eps_t)
-
     @cached_property
-    def inf(self) -> float:
-        return self.base * self._x_factor_range()[0] * self._t_factor_range()[0]
+    def _bounds(self) -> tuple[float, float]:
+        # cos(k*pi*x/L) over x in [0, L] spans [cos(|k|*pi), 1], or [-1, 1] once |k| >= 1
+        k = abs(self.mode_k)
+        c_lo = -1.0 if k >= 1.0 else math.cos(k * math.pi)
+        x_lo, x_hi = sorted((1.0 + self.eps_x * c_lo, 1.0 + self.eps_x))
+        t_amp = abs(self.eps_t) if self.omega != 0.0 else 0.0
+        return self.base * x_lo * (1.0 - t_amp), self.base * x_hi * (1.0 + t_amp)
 
-    @cached_property
-    def sup(self) -> float:
-        return self.base * self._x_factor_range()[1] * self._t_factor_range()[1]
+    inf = property(lambda self: self._bounds[0])
+    sup = property(lambda self: self._bounds[1])
 
     def evaluate(self, grid: Grid, t: float) -> np.ndarray:
         """Coefficient values at cell centers for time t."""
@@ -123,22 +110,6 @@ class ModelParams:
         if not (0 < self.mu < math.inf and 0 < self.nu < math.inf):
             raise ParameterError(f"mu and nu must be positive and finite, got {self.mu}, {self.nu}")
 
-    @property
-    def a_inf(self) -> float:
-        return self.coeff_a.inf
-
-    @property
-    def a_sup(self) -> float:
-        return self.coeff_a.sup
-
-    @property
-    def b_inf(self) -> float:
-        return self.coeff_b.inf
-
-    @property
-    def b_sup(self) -> float:
-        return self.coeff_b.sup
-
 
 @dataclass(frozen=True)
 class StepperConfig:
@@ -150,7 +121,7 @@ class StepperConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ParameterError("cfl_safety must lie in (0, 1]")
-        if min(self.dt_min, self.u_ceiling, self.v_floor) <= 0:
+        if not all(x > 0 for x in (self.dt_min, self.u_ceiling, self.v_floor)):
             raise ParameterError("dt_min, u_ceiling and v_floor must be positive")
 
 
@@ -222,7 +193,7 @@ def _drift_and_dt(state: SimState, params: ModelParams,
     w_max = max(float(np.abs(wa).max()) for wa in w)
     if w_max > 0.0:
         guards.append(h_min / w_max)
-    reaction_rate = params.a_sup + 2.0 * params.b_sup * state.u.max()
+    reaction_rate = params.coeff_a.sup + 2.0 * params.coeff_b.sup * state.u.max()
     if reaction_rate > 0.0:
         guards.append(1.0 / reaction_rate)
     dt = cfg.cfl_safety * min(guards)

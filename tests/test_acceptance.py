@@ -152,8 +152,8 @@ def test_criterion_05_mass_ceiling(all_acceptance_runs):
     for cfg, outcome in all_acceptance_runs:
         if not outcome.records:
             continue
-        mstar = diag.m_star(outcome.records[0].mass, cfg.params.a_sup,
-                            cfg.params.b_inf, cfg.grid.measure)
+        mstar = diag.m_star(outcome.records[0].mass, cfg.params.coeff_a.sup,
+                            cfg.params.coeff_b.inf, cfg.grid.measure)
         for rec in outcome.records:
             checked += 1
             worst_frac = max(worst_frac, rec.mass / mstar - 1.0)
@@ -292,7 +292,7 @@ def test_property_negative_power_stays_controlled(bounded_regime_runs):
     # must stay below twice its value at t=1 for all later samples
     cfg, outcome = next((c, o) for c, o in bounded_regime_runs
                         if c.params.chi == 1.0)
-    window = beta_window(cfg.params.chi, cfg.params.mu, cfg.params.a_inf)
+    window = beta_window(cfg.params.chi, cfg.params.mu, cfg.params.coeff_a.inf)
     p_hat = window.p_hat
     series = [(rec.t, rec.neg_powers[p_hat]) for rec in outcome.records
               if p_hat in rec.neg_powers]

@@ -82,11 +82,31 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
                      "grid.dim=3 grid.cells=8 ic.kind=gaussian ic.center=0.2,0.8",
                      "ic.kind=random ic.seed=-1", f"ic.seed={2 ** 128}",
                      "run.seed=-3", f"run.seed={2 ** 64}",
-                     "diagnostics.auto_neg_p=ture"):
+                     "diagnostics.auto_neg_p=ture",
+                     # a NaN threshold would switch its guard off
+                     "stepper.dt_min=nan", "stepper.u_ceiling=nan", "stepper.v_floor=nan",
+                     "run.classify_factor=nan",
+                     "ic.kind=gaussian ic.width=nan", "ic.kind=gaussian ic.width=0",
+                     "ic.kind=gaussian ic.width=-0.1", "ic.kind=gaussian ic.amplitude=inf",
+                     "ic.kind=constant ic.value=inf", "ic.kind=random ic.amplitude=nan",
+                     # exponents outside the monitored functionals' ranges
+                     "diagnostics.p_list=0.5", "diagnostics.neg_p_list=-1",
+                     "diagnostics.grad_p=1.5"):
         assert main(["run", str(cfg_path), *override.split(),
                      "--outdir", str(tmp_path / "out")]) == 2, override
 
 
+def test_run_subcommand_parse_error_names_its_key(cfg_path, tmp_path, capsys):
+    for key, value in (("model.chi", "abc"), ("ic.seed", "1.5"),
+                       ("diagnostics.auto_neg_p", "ture"), ("grid.dim", "x"),
+                       ("grid.cells", "4,a"), ("grid.extent", "q")):
+        assert main(["run", str(cfg_path), f"{key}={value}",
+                     "--outdir", str(tmp_path / "out")]) == 2, key
+        assert capsys.readouterr().err.startswith(f"config error: {key}: "), key
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 def test_sweep_subcommand(cfg_path, tmp_path, capsys):
     out = tmp_path / "sw"
     code = main(["sweep", str(cfg_path), "run.t_end=0.1", "--axis", "chi=0.5,1.5",
@@ -98,6 +118,15 @@ def test_sweep_subcommand(cfg_path, tmp_path, capsys):
     assert len(table) == 3
     for axis in ("nu=1,2", "chi=abc"):
         assert main(["sweep", str(cfg_path), "--axis", axis, "--outdir", str(out)]) == 2, axis
+    # every cell triggers: exit 3; every cell fails its solve: exit 4; one of
+    # each: exit 4 (mu=1e-10 overflows the first solve's v)
+    for overrides, axes, code in (
+            ("stepper.u_ceiling=0.5", ("chi=0.5,3", "a_scale=0.1,3"), 3),
+            ("elliptic.rel_tolerance=1e-300", ("chi=0.5,3", "a_scale=0.1,3"), 4),
+            ("model.nu=1e300 stepper.u_ceiling=0.5", ("mu=1,1e-10",), 4)):
+        args = [f"--axis={axis}" for axis in axes]
+        assert main(["sweep", str(cfg_path), *overrides.split(), "ic.kind=gaussian",
+                     "ic.baseline=0.2", *args, "--outdir", str(out), "--workers", "1"]) == code
 
 
 def test_regimes_subcommand(capsys):

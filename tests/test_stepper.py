@@ -227,7 +227,7 @@ def test_mass_stays_below_ceiling_with_time_dependent_coefficients():
     )
     u0 = ScalarField(grid, gen.uniform(0.0, 4.0, grid.shape))
     state = initial_state(u0, params)
-    ceiling = max(integrate(u0), params.a_sup / params.b_inf * grid.measure)
+    ceiling = max(integrate(u0), params.coeff_a.sup / params.coeff_b.inf * grid.measure)
     while state.t < 3.0:
         advance(state, params, dt_cap=3.0 - state.t)
         assert integrate(state.u) <= ceiling * (1.0 + 1e-8)
