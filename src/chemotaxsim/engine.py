@@ -332,16 +332,16 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
     try:
         state = initial_state(u0, params, config.elliptic)
         records.append(record_of(state))
-        peak_u = state.u.max()
-        min_v = state.v.min()
+        peak_u = state.u_max
+        min_v = state.v_min
         if snapdir is not None:
             write_snapshot(state.u, state.t, snapdir / f"t{n_snap}.field")
             n_snap += 1
         while config.t_end - state.t > eps_t:
             advance(state, params, config.stepper, config.elliptic,
                     dt_cap=config.t_end - state.t)
-            peak_u = max(peak_u, state.u.max())
-            min_v = min(min_v, state.v.min())
+            peak_u = max(peak_u, state.u_max)
+            min_v = min(min_v, state.v_min)
             if state.t + eps_t >= k_diag * cadence:
                 records.append(record_of(state))
                 k_diag = int(math.floor(state.t / cadence + 1e-9)) + 1
@@ -484,14 +484,16 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
     order and worker count produce identical rows.  Per-cell failures land
     in the row's verdict; the sweep itself never aborts.
     """
-    for key, _ in axes:
+    names = [k for k, _ in axes]
+    for key in names:
         if key not in SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {key!r}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"sweep axes must be distinct, got {names}")
     out = Path(outdir) if outdir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    names = [k for k, _ in axes]
     combos = list(itertools.product(*[v for _, v in axes]))
     jobs = []
     for i, combo in enumerate(combos):

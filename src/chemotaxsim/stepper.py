@@ -11,11 +11,17 @@ Neumann boundary faces makes the discrete mass identity
     int u_new = int u_old + dt * int u_old*(a - b*u_old)
 
 hold to roundoff, which is the backbone of the mass-bound monitors.
+
+A step is a deterministic function of its inputs, so once an uncapped step
+with time-independent coefficients leaves (u, v) bitwise unchanged (a
+discrete steady state such as u = a/b), :func:`advance` replays it while
+exactly those inputs come back, instead of recomputing a result that every
+guard and check already accepted.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -128,12 +134,46 @@ class StepperConfig:
 DEFAULT_STEPPER = StepperConfig()
 
 
+@dataclass(frozen=True, eq=False)
+class _FixedPoint:
+    """An accepted uncapped step that returned its input (u, v) bitwise:
+    copies of those bits, the configs it ran with, its guard dt (before any
+    positivity halving) and the dt it accepted."""
+
+    u_bits: np.ndarray
+    v_bits: np.ndarray
+    grid: Grid
+    params: ModelParams
+    cfg: StepperConfig
+    elliptic_cfg: EllipticConfig
+    guard_dt: float
+    dt: float
+
+    def repeats(self, state: "SimState", params: ModelParams, cfg: StepperConfig,
+                elliptic_cfg: EllipticConfig, dt_cap: float) -> bool:
+        """Whether a step of ``state`` with these arguments has exactly the
+        recorded step's inputs, so it would return the same result."""
+        return (params is self.params and cfg is self.cfg
+                and elliptic_cfg is self.elliptic_cfg and state.u.grid is self.grid
+                and dt_cap >= self.guard_dt
+                and _same_bits(state.u.values, self.u_bits)
+                and _same_bits(state.v.values, self.v_bits))
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    # bit patterns, not values: -0.0 and 0.0 differ
+    return np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 @dataclass
 class SimState:
     """Mutable simulation state; one owner per state, never shared.
 
-    Invariant: ``v`` is the chemical field solved from ``u``, v == V(u).
-    :func:`initial_state` establishes it and :func:`advance` keeps it.
+    Invariants: ``v`` is the chemical field solved from ``u``, v == V(u),
+    and ``u_max == u.max()``, ``v_min == v.min()``.  :func:`initial_state`
+    establishes them, :func:`advance` keeps them, and a hand-built state
+    gets its extrema from ``__post_init__``.  A caller that edits ``u`` or
+    ``v`` in place breaks them; build a new state instead.
     """
 
     t: float
@@ -141,6 +181,15 @@ class SimState:
     u: ScalarField
     v: ScalarField
     dt_last: float = 0.0
+    u_max: float = field(init=False)
+    v_min: float = field(init=False)
+    # the last step, when it was a bitwise fixed point (see advance)
+    _fixed_point: _FixedPoint | None = field(default=None, init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self):
+        self.u_max = self.u.max()
+        self.v_min = self.v.min()
 
 
 def initial_state(u0: ScalarField, params: ModelParams,
@@ -149,9 +198,10 @@ def initial_state(u0: ScalarField, params: ModelParams,
     return SimState(t=0.0, step=0, u=u0.copy(), v=v0)
 
 
-def _interior_drift(v: ScalarField, chi: float, v_floor: float) -> list[np.ndarray]:
-    """:func:`chemotactic_velocity` on the interior faces only."""
-    min_v = v.min()
+def _interior_drift(v: ScalarField, chi: float, v_floor: float,
+                    min_v: float) -> list[np.ndarray]:
+    """:func:`chemotactic_velocity` on the interior faces only; ``min_v`` is
+    ``v.min()``."""
     if min_v < v_floor or min_v <= 0.0:
         raise DegeneracyError(
             f"chemical field at {min_v:.3e} dropped below floor {v_floor:.3e}", min_v=min_v)
@@ -174,7 +224,7 @@ def chemotactic_velocity(v: ScalarField, chi: float,
     """
     grid = v.grid
     out = []
-    for ax, w_in in enumerate(_interior_drift(v, chi, v_floor)):
+    for ax, w_in in enumerate(_interior_drift(v, chi, v_floor, v.min())):
         w = np.zeros(grid.face_shape(ax))
         w[grid.face_slices(ax)[2]] = w_in
         out.append(w)
@@ -186,14 +236,14 @@ def _drift_and_dt(state: SimState, params: ModelParams,
     """Interior-face drift from state.v, and the stable dt sigma *
     min(diffusion, advection, reaction guards); zero-denominator guards are
     skipped.  Raises on collapse below dt_min."""
-    w = _interior_drift(state.v, params.chi, cfg.v_floor)
+    w = _interior_drift(state.v, params.chi, cfg.v_floor, state.v_min)
     grid = state.u.grid
     h_min = grid.min_spacing
     guards = [h_min * h_min / (2.0 * grid.dim)]
     w_max = max(float(np.abs(wa).max()) for wa in w)
     if w_max > 0.0:
         guards.append(h_min / w_max)
-    reaction_rate = params.coeff_a.sup + 2.0 * params.coeff_b.sup * state.u.max()
+    reaction_rate = params.coeff_a.sup + 2.0 * params.coeff_b.sup * state.u_max
     if reaction_rate > 0.0:
         guards.append(1.0 / reaction_rate)
     dt = cfg.cfl_safety * min(guards)
@@ -230,7 +280,7 @@ def advance(state: SimState, params: ModelParams,
             dt_cap: float = math.inf) -> SimState:
     """Advance the state by one accepted step (mutates and returns it).
 
-    Keeps the invariant state.v == V(state.u).  Order of operations: drift
+    Keeps the state's invariants.  Order of operations: drift
     velocity from state.v, the dt of :func:`propose_dt` capped at dt_cap,
     the explicit update, then one elliptic solve V(u_new).  A step
     producing genuine negatives is rejected and retried at dt/2 (up to
@@ -244,10 +294,29 @@ def advance(state: SimState, params: ModelParams,
     consistent (u, V(u)) pair.  The solve's source check is the step's one
     finiteness pass: the positivity and u_ceiling tests reject a NaN or inf
     u_new first, and the solve's residual check rejects a non-finite v.
+
+    Replay: when a full step was uncapped (its guard dt <= dt_cap), both
+    coefficients have omega == 0, and u_new and V(u_new) equal u and v
+    bitwise, the state records that step.  The next call replays it, doing
+    only ``t += dt``, ``step += 1`` and ``dt_last = dt``, if it gets the
+    same ``params``, ``cfg`` and ``elliptic_cfg`` objects and grid, a
+    dt_cap no smaller than the recorded guard dt, and u and v bitwise equal
+    to the recorded ones.  Those are all the step's inputs, so every guard and
+    check would repeat the recorded step's outcome.  Any other call drops
+    the record and runs the full step.
     """
+    fixed = state._fixed_point
+    if fixed is not None:
+        if fixed.repeats(state, params, cfg, elliptic_cfg, dt_cap):
+            state.t += fixed.dt
+            state.step += 1
+            state.dt_last = fixed.dt
+            return state
+        state._fixed_point = None
+
     grid = state.u.grid
-    w, dt = _drift_and_dt(state, params, cfg)
-    dt = min(dt, dt_cap)
+    w, guard_dt = _drift_and_dt(state, params, cfg)
+    dt = min(guard_dt, dt_cap)
 
     u_old = state.u.values
     a = params.coeff_a.evaluate(grid, state.t)
@@ -276,8 +345,16 @@ def advance(state: SimState, params: ModelParams,
 
     u_field = ScalarField(grid, u_new)
     v_new = solve_chemical(u_field, params.mu, params.nu, elliptic_cfg)
+    # the max test first: a step that moved u's max costs one comparison
+    if (u_peak == state.u_max and guard_dt <= dt_cap
+            and params.coeff_a.omega == params.coeff_b.omega == 0.0
+            and _same_bits(u_new, u_old) and _same_bits(v_new.values, state.v.values)):
+        state._fixed_point = _FixedPoint(u_old.copy(), state.v.values.copy(), grid,
+                                         params, cfg, elliptic_cfg, guard_dt, dt)
     state.u = u_field
     state.v = v_new
+    state.u_max = u_peak
+    state.v_min = v_new.min()
     state.t += dt
     state.step += 1
     state.dt_last = dt

@@ -118,6 +118,9 @@ def test_sweep_subcommand(cfg_path, tmp_path, capsys):
     assert len(table) == 3
     for axis in ("nu=1,2", "chi=abc"):
         assert main(["sweep", str(cfg_path), "--axis", axis, "--outdir", str(out)]) == 2, axis
+    assert main(["sweep", str(cfg_path), "--axis", "chi=0.5", "--axis", "chi=3",
+                 "--outdir", str(out)]) == 2
+    assert "config error: sweep axes must be distinct" in capsys.readouterr().err
     # every cell triggers: exit 3; every cell fails its solve: exit 4; one of
     # each: exit 4 (mu=1e-10 overflows the first solve's v)
     for overrides, axes, code in (

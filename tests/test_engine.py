@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemotaxsim import engine
+from chemotaxsim import engine, stepper
 from chemotaxsim.engine import (ICSpec, RunConfig, build_ic, config_from_mapping,
                                 load_config, parse_config_text, run, sweep)
 from chemotaxsim.elliptic import solve_chemical
@@ -212,6 +212,43 @@ def test_every_record_pairs_u_with_its_own_v(tmp_path):
         assert (rec.min_v, rec.max_v) == (v.min(), v.max())
 
 
+def test_run_through_a_fixed_point_matches_full_steps(monkeypatch):
+    # the bump settles on u = a/b bitwise near step 5,200 of 6,400; the run
+    # replays the steps after it, the hand loop runs each in full on a copy
+    params = ModelParams(2.0, 1.0, 1.0, CoefficientSpec.constant(2.0),
+                         CoefficientSpec.constant(1.0))
+    cfg = quick_config(grid=Grid.line(1.0, 8), params=params, t_end=20.0,
+                       ic=ICSpec(kind="gaussian", width=0.25, amplitude=0.5, baseline=0.5))
+    states, solves = [], []
+
+    def initial_state(*args):
+        states.append(stepper.initial_state(*args))
+        return states[-1]
+
+    def solve(*args):
+        solves.append(args)
+        return solve_chemical(*args)
+    monkeypatch.setattr(engine, "initial_state", initial_state)
+    monkeypatch.setattr(stepper, "solve_chemical", solve)
+    outcome = run(cfg)
+    [final] = states
+    assert len(solves) < 0.9 * outcome.steps
+
+    state = stepper.initial_state(build_ic(cfg.grid, cfg.ic), params)
+    peak, low = state.u.max(), state.v.min()
+    eps_t = 1e-12 * cfg.t_end
+    while cfg.t_end - state.t > eps_t:
+        state = stepper.advance(stepper.SimState(state.t, state.step, state.u.copy(),
+                                                 state.v.copy(), state.dt_last),
+                                params, dt_cap=cfg.t_end - state.t)
+        peak, low = max(peak, state.u.max()), min(low, state.v.min())
+    for got, want in ((final.u, state.u), (final.v, state.v)):
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    assert (final.t, outcome.t_reached, outcome.steps) == (state.t, state.t, state.step)
+    assert (final.u_max, final.v_min) == (state.u.max(), state.v.min())
+    assert (outcome.peak_max_u, outcome.min_min_v) == (peak, low)
+
+
 def test_trigger_fidelity_v_floor(tmp_path):
     cfg = quick_config(stepper=StepperConfig(v_floor=1e3))
     outcome = run(cfg, outdir=tmp_path)
@@ -390,6 +427,10 @@ def test_sweep_deterministic_across_workers_and_order(tmp_path):
 def test_sweep_rejects_unknown_axis(tmp_path):
     with pytest.raises(ConfigError):
         sweep(sweep_template(), [("nu", [1.0])], outdir=tmp_path)
+    # a repeated axis would collapse onto its last values
+    with pytest.raises(ConfigError, match="distinct"):
+        sweep(sweep_template(), [("chi", [0.5]), ("chi", [3.0])], outdir=tmp_path)
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_records_per_cell_failures(tmp_path):
