@@ -5,7 +5,7 @@ from .checks import self_check
 from .diagnostics import (DiagnosticsRecord, check_mass_bound, check_persistence,
                           compute_record, grad_ratio, grad_weighted_integral,
                           log_mass, lp_norm, m_star, neg_power,
-                          reverse_holder_check, weighted_integral)
+                          reverse_holder_check)
 from .elliptic import EllipticConfig, solve_chemical
 from .engine import (ICSpec, RunConfig, RunOutcome, SweepResult, build_ic,
                      load_config, run, sweep)
@@ -13,8 +13,8 @@ from .errors import (ConfigError, CorruptFieldError, DegeneracyError,
                      FieldOverflowError, InfeasiblePlanError, ParameterError,
                      SimulationError, SolverFailureError, ThresholdNotMetError,
                      TimestepCollapseError)
-from .mesh import (Grid, ScalarField, cell_gradient_sq, divergence, export_csv,
-                   face_gradient, integrate, read_snapshot, write_snapshot)
+from .mesh import (Grid, ScalarField, cell_gradient_sq, divergence, face_gradient,
+                   integrate, read_snapshot, write_snapshot)
 from .regimes import (BetaWindow, LpPlan, ThresholdVerdict, beta_window,
                       boundedness_threshold, lp_parameter_plan,
                       select_lp_exponent, threshold)

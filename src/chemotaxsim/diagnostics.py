@@ -4,7 +4,7 @@ Every check is an inequality with an explicit tolerance.  Analytic slack is
 zero; discretization slack is grid dependent and stated where it applies
 (the Rayleigh bound uses 5% at 256 cells).  Cells below DEGENERACY_FLOOR
 are treated as degeneracy evidence: the log/negative-power functionals then
-return -inf/+inf flags instead of raising, unless strict mode is on.
+return -inf/+inf flags instead of raising.
 """
 from __future__ import annotations
 
@@ -33,21 +33,6 @@ def lp_norm(f: ScalarField, p: float) -> float:
     return float((f.values ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
 
 
-def weighted_integral(u: ScalarField, v: ScalarField, q: float, s: float) -> float:
-    """int u^q / v^s by midpoint quadrature."""
-    require_finite(u)
-    require_finite(v)
-    if u.min() < 0.0:
-        raise ParameterError("weighted_integral needs u >= 0")
-    if s != 0.0 and v.min() <= 0.0:
-        raise DegeneracyError("weighted_integral hit a nonpositive chemical cell",
-                              min_v=v.min())
-    vals = u.values ** q if q != 1.0 else u.values
-    if s != 0.0:
-        vals = vals / v.values ** s
-    return float(vals.sum() * u.grid.cell_volume)
-
-
 def grad_weighted_integral(v: ScalarField, q: float, s: float) -> float:
     """int |grad v|^q / v^s; q=s=2 is the Rayleigh-type monitor."""
     if q < 0.0:
@@ -62,17 +47,15 @@ def grad_weighted_integral(v: ScalarField, q: float, s: float) -> float:
     return float(vals.sum() * v.grid.cell_volume)
 
 
-def log_mass(u: ScalarField, strict: bool = False) -> float:
+def log_mass(u: ScalarField) -> float:
     """int ln(u); returns -inf as a degeneracy flag when a cell underflows."""
     require_finite(u)
     if u.min() < DEGENERACY_FLOOR:
-        if strict:
-            raise DegeneracyError("log_mass hit a vanishing cell", min_v=u.min())
         return -math.inf
     return float(np.log(u.values).sum() * u.grid.cell_volume)
 
 
-def neg_power(u: ScalarField, p: float, strict: bool = False) -> float:
+def neg_power(u: ScalarField, p: float) -> float:
     """int u^(-p); returns +inf as a degeneracy flag when a cell underflows.
 
     Large p on small densities can saturate double range; the value then
@@ -82,8 +65,6 @@ def neg_power(u: ScalarField, p: float, strict: bool = False) -> float:
         raise ParameterError(f"neg_power needs p > 0, got {p}")
     require_finite(u)
     if u.min() < DEGENERACY_FLOOR:
-        if strict:
-            raise DegeneracyError("neg_power hit a vanishing cell", min_v=u.min())
         return math.inf
     with np.errstate(over="ignore"):
         return float((u.values ** -p).sum() * u.grid.cell_volume)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ParameterError, SolverFailureError
-from .mesh import Grid, ScalarField, require_finite
+from .mesh import Grid, ScalarField, divergence, require_finite
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,10 @@ DEFAULT_ELLIPTIC = EllipticConfig()
 
 
 def apply_operator(grid: Grid, mu: float, v: np.ndarray) -> np.ndarray:
-    """(mu*I - Lap_h) v with mirror-ghost Neumann closure."""
-    out = mu * v
-    for ax in range(grid.dim):
-        lo, hi, _ = grid.face_slices(ax)
-        g = (v[hi] - v[lo]) / grid.spacing[ax] ** 2  # interior face gradients / h
-        out[lo] -= g
-        out[hi] += g
-    return out
+    """(mu*I - Lap_h) v with mirror-ghost Neumann closure; Lap_h is the
+    divergence of the interior-face gradients, as in the stepper."""
+    grads = [(v[hi] - v[lo]) / h for (lo, hi), h in zip(grid.face_slices, grid.spacing)]
+    return mu * v - divergence(grid, grads)
 
 
 @lru_cache(maxsize=32)

@@ -4,9 +4,10 @@ The grid covers an axis-aligned box in any number of dimensions; every
 stencil loops over the axes.  Cell values are stored row-major over the axes
 (C order), so ``values.ravel()`` is the documented linear cell index: in 2D,
 cell (i, j) sits at index ``i*ny + j``.
-Faces on the domain boundary always carry zero gradient / zero flux, which is
-the discrete form of a homogeneous Neumann condition with mirrored ghost
-cells.
+Face arrays hold the interior faces only: an axis's face array has the cell
+shape with that axis one shorter.  Boundary faces carry zero gradient and
+zero flux, the discrete homogeneous Neumann condition with mirrored ghost
+cells; that zero is implied and never stored.
 """
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ class Grid:
 
     def __post_init__(self):
         extents = tuple(float(e) for e in self.extents)
+        if not all(float(n).is_integer() for n in self.cells):  # no silent truncation
+            raise ParameterError(f"cell counts must be integers, got {self.cells}")
         cells = tuple(int(n) for n in self.cells)
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells", cells)
@@ -94,27 +97,13 @@ class Grid:
         axes = [self.centers(ax) for ax in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def face_shape(self, axis: int) -> tuple[int, ...]:
-        s = list(self.cells)
-        s[axis] += 1
-        return tuple(s)
-
     @cached_property
-    def _face_slices(self) -> tuple[tuple[tuple[slice, ...], ...], ...]:
+    def face_slices(self) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+        """Per axis, index tuples ``(lo, hi)`` that pick on a cell array the
+        cells left and right of every interior face, in face-array order."""
         full = (slice(None),) * self.dim
-        return tuple(
-            tuple(full[:ax] + (s,) + full[ax + 1:]
-                  for s in (slice(0, -1), slice(1, None), slice(1, -1)))
-            for ax in range(self.dim))
-
-    def face_slices(self, axis: int) -> tuple[tuple[slice, ...], ...]:
-        """Index tuples ``(lo, hi, inner)`` along ``axis``.
-
-        On a cell array lo and hi pick the cells left and right of every
-        interior face; on a face array they pick each cell's left and right
-        face, and inner picks the interior faces.
-        """
-        return self._face_slices[axis]
+        return tuple(tuple(full[:ax] + (s,) + full[ax + 1:]
+                           for s in (slice(0, -1), slice(1, None))) for ax in range(self.dim))
 
 
 @dataclass(eq=False)
@@ -167,52 +156,50 @@ def integrate(f: ScalarField) -> float:
 
 
 def face_gradient(f: ScalarField) -> list[np.ndarray]:
-    """Per-axis face-normal gradients; boundary faces are exactly zero.
-
-    Interior face between neighbors gets (right - left)/h.  The mirror
-    ghost convention makes every boundary face gradient vanish.
-    """
+    """Per-axis gradients on the interior faces: (right - left)/h between
+    neighbors.  The boundary faces' zero gradient is implied."""
     require_finite(f)
     grid = f.grid
     out = []
-    for ax in range(grid.dim):
-        lo, hi, inner = grid.face_slices(ax)
-        g = np.zeros(grid.face_shape(ax))
-        g[inner] = (f.values[hi] - f.values[lo]) / grid.spacing[ax]
-        out.append(g)
+    for (lo, hi), h in zip(grid.face_slices, grid.spacing):
+        out.append((f.values[hi] - f.values[lo]) / h)
     return out
 
 
 def cell_gradient_sq(f: ScalarField) -> ScalarField:
     """Cell-centered |grad f|^2.
 
-    Per axis the two adjacent face gradients are averaged, squared and
-    summed over axes.  Boundary cells see the zero boundary face from the
-    mirrored ghost.
+    Per axis the two faces of every cell are averaged, squared and summed
+    over axes; a boundary cell's boundary face counts as zero.
     """
     grid = f.grid
     total = np.zeros(grid.shape)
-    for ax, g in enumerate(face_gradient(f)):
-        lo, hi, _ = grid.face_slices(ax)
-        avg = 0.5 * (g[lo] + g[hi])
+    for (lo, hi), g in zip(grid.face_slices, face_gradient(f)):
+        pair = np.zeros(grid.shape)
+        pair[lo] = g
+        pair[hi] += g
+        avg = 0.5 * pair
         total += avg * avg
     return ScalarField(grid, total)
 
 
 def divergence(grid: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
-    """Discrete divergence of per-axis face fluxes.
+    """Discrete divergence of per-axis interior-face fluxes.
 
-    With zero boundary faces the cell sum of the result telescopes to zero,
-    which is what every conservation test in this package relies on.
+    Each cell gets (right face - left face)/h per axis, with zero flux on the
+    boundary faces, so the cell sum of the result telescopes to zero: the
+    discrete conservation every mass identity in this package rests on.
     """
     div = np.zeros(grid.shape)
-    for ax, flux in enumerate(fluxes):
-        lo, hi, _ = grid.face_slices(ax)
-        div += (flux[hi] - flux[lo]) / grid.spacing[ax]
+    for (lo, hi), flux, h in zip(grid.face_slices, fluxes, grid.spacing):
+        net = np.zeros(grid.shape)
+        net[lo] = flux
+        net[hi] -= flux
+        div += net / h
     return div
 
 
-# --- snapshot / CSV file formats ------------------------------------------
+# --- snapshot file format ---------------------------------------------------
 
 def write_snapshot(f: ScalarField, t: float, path) -> None:
     """Write a field snapshot: header ``dim n_1..n_dim L_1..L_dim t``, then
@@ -226,27 +213,17 @@ def write_snapshot(f: ScalarField, t: float, path) -> None:
 
 
 def read_snapshot(path) -> tuple[ScalarField, float]:
+    """Read a :func:`write_snapshot` file; one that does not parse raises CorruptFieldError."""
     tokens = Path(path).read_text().split()
-    dim = int(tokens[0])
-    cells = tuple(int(x) for x in tokens[1:1 + dim])
-    extents = tuple(float(x) for x in tokens[1 + dim:1 + 2 * dim])
-    t = float(tokens[1 + 2 * dim])
-    vals = np.array([float(x) for x in tokens[2 + 2 * dim:]])
-    grid = Grid(extents, cells)
+    try:
+        dim = int(tokens[0])
+        cells = tuple(int(x) for x in tokens[1:1 + dim])
+        extents = tuple(float(x) for x in tokens[1 + dim:1 + 2 * dim])
+        t = float(tokens[1 + 2 * dim])
+        vals = np.array([float(x) for x in tokens[2 + 2 * dim:]])
+        grid = Grid(extents, cells)  # a ParameterError is a ValueError
+    except (IndexError, ValueError) as err:
+        raise CorruptFieldError(f"malformed snapshot: {err}") from err
     if vals.size != grid.num_cells:
         raise CorruptFieldError(f"snapshot has {vals.size} values, expected {grid.num_cells}")
     return ScalarField(grid, vals.reshape(grid.shape)), t
-
-
-def export_csv(f: ScalarField, path) -> None:
-    """Write cell coordinates and values as CSV, one row per cell: the axis
-    columns x, y, z, x4, x5, ... (as many as the grid has), then value."""
-    grid = f.grid
-    coords = grid.coordinate_fields()
-    cols = [c.ravel() for c in coords] + [f.values.ravel()]
-    names = ["x", "y", "z"] + [f"x{ax + 1}" for ax in range(3, grid.dim)]
-    header = ",".join(names[: grid.dim] + ["value"])
-    rows = [header]
-    for vals in zip(*cols):
-        rows.append(",".join(f"{v:.17g}" for v in vals))
-    Path(path).write_text("\n".join(rows) + "\n")

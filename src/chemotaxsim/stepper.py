@@ -29,7 +29,7 @@ import numpy as np
 from .elliptic import DEFAULT_ELLIPTIC, EllipticConfig, solve_chemical
 from .errors import (DegeneracyError, FieldOverflowError, ParameterError,
                      TimestepCollapseError)
-from .mesh import Grid, ScalarField, face_gradient  # noqa: F401  (re-exported)
+from .mesh import Grid, ScalarField, divergence, face_gradient  # noqa: F401  (re-exported)
 
 # negatives no larger than this fraction of max u are roundoff, not physics
 CLAMP_FRACTION = 1e-14
@@ -200,15 +200,13 @@ def initial_state(u0: ScalarField, params: ModelParams,
 
 def _interior_drift(v: ScalarField, chi: float, v_floor: float,
                     min_v: float) -> list[np.ndarray]:
-    """:func:`chemotactic_velocity` on the interior faces only; ``min_v`` is
-    ``v.min()``."""
+    """:func:`chemotactic_velocity` given ``min_v``, which is ``v.min()``."""
     if min_v < v_floor or min_v <= 0.0:
         raise DegeneracyError(
             f"chemical field at {min_v:.3e} dropped below floor {v_floor:.3e}", min_v=min_v)
     grid = v.grid
     out = []
-    for ax, h in enumerate(grid.spacing):
-        lo, hi, _ = grid.face_slices(ax)
+    for (lo, hi), h in zip(grid.face_slices, grid.spacing):
         v_lo, v_hi = v.values[lo], v.values[hi]
         out.append(chi * ((v_hi - v_lo) / h) / (0.5 * (v_lo + v_hi)))
     return out
@@ -216,19 +214,12 @@ def _interior_drift(v: ScalarField, chi: float, v_floor: float,
 
 def chemotactic_velocity(v: ScalarField, chi: float,
                          v_floor: float = 0.0) -> list[np.ndarray]:
-    """Face drift velocity w = chi * (face gradient of v) / (face-average v).
+    """Interior-face drift velocity w = chi * (face gradient of v) / (face-average v).
 
-    The face average is arithmetic; boundary faces are zero.  Any cell at or
-    below v_floor means the singular sensitivity is no longer evaluable and
-    raises DegeneracyError.
+    The face average is arithmetic.  Any cell at or below v_floor means the
+    singular sensitivity is no longer evaluable and raises DegeneracyError.
     """
-    grid = v.grid
-    out = []
-    for ax, w_in in enumerate(_interior_drift(v, chi, v_floor, v.min())):
-        w = np.zeros(grid.face_shape(ax))
-        w[grid.face_slices(ax)[2]] = w_in
-        out.append(w)
-    return out
+    return _interior_drift(v, chi, v_floor, v.min())
 
 
 def _drift_and_dt(state: SimState, params: ModelParams,
@@ -262,16 +253,13 @@ def propose_dt(state: SimState, params: ModelParams,
 def _explicit_rhs(u: ScalarField, w: list[np.ndarray],
                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """div(grad u - u_upwind * w) + u*(a - b*u), all in flux form; w is the
-    drift on interior faces, and boundary faces carry zero flux."""
+    drift on interior faces."""
     grid = u.grid
-    div = np.zeros(grid.shape)
-    for ax, (w_in, h) in enumerate(zip(w, grid.spacing)):
-        lo, hi, inner = grid.face_slices(ax)
+    fluxes = []
+    for (lo, hi), w_in, h in zip(grid.face_slices, w, grid.spacing):
         u_lo, u_hi = u.values[lo], u.values[hi]
-        flux = np.zeros(grid.face_shape(ax))
-        flux[inner] = (u_hi - u_lo) / h - np.where(w_in > 0.0, u_lo, u_hi) * w_in
-        div += (flux[hi] - flux[lo]) / h
-    return div + u.values * (a - b * u.values)
+        fluxes.append((u_hi - u_lo) / h - np.where(w_in > 0.0, u_lo, u_hi) * w_in)
+    return divergence(grid, fluxes) + u.values * (a - b * u.values)
 
 
 def advance(state: SimState, params: ModelParams,

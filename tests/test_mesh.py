@@ -3,8 +3,8 @@ import pytest
 
 from chemotaxsim.errors import CorruptFieldError, ParameterError
 from chemotaxsim.mesh import (Grid, ScalarField, cell_gradient_sq, divergence,
-                              export_csv, face_gradient, integrate,
-                              read_snapshot, write_snapshot)
+                              face_gradient, integrate, read_snapshot,
+                              write_snapshot)
 
 
 def test_grid_basics():
@@ -19,18 +19,18 @@ def test_grid_basics():
     assert g2.cell_volume == (2.0 / 16) * (1.0 / 8)
     assert g2.spacing[0] * g2.cells[0] == g2.extents[0]
     assert g2.spacing[1] * g2.cells[1] == g2.extents[1]
+    assert Grid.box(1.0, 1.0, np.int64(4), np.int32(3)).cells == (4, 3)
 
 
 def test_face_slices_are_cached_and_index_faces():
     g = Grid.box(2.0, 1.0, 4, 3)
-    lo, hi, inner = g.face_slices(1)
-    assert g.face_slices(1) is g.face_slices(1)
-    assert (lo, hi, inner) == ((slice(None), slice(0, -1)), (slice(None), slice(1, None)),
-                               (slice(None), slice(1, -1)))
+    assert g.face_slices is g.face_slices
+    lo, hi = g.face_slices[1]
+    assert (lo, hi) == ((slice(None), slice(0, -1)), (slice(None), slice(1, None)))
     cells = np.arange(12.0).reshape(4, 3)
-    faces = np.zeros(g.face_shape(1))
-    assert cells[lo].shape == cells[hi].shape == faces[inner].shape == (4, 2)
-    assert faces[lo].shape == faces[hi].shape == cells.shape
+    faces = face_gradient(ScalarField(g, cells))
+    assert cells[lo].shape == cells[hi].shape == faces[1].shape == (4, 2)
+    assert faces[0].shape == (3, 3)
 
 
 @pytest.mark.parametrize("extents,cells", [
@@ -39,6 +39,8 @@ def test_face_slices_are_cached_and_index_faces():
     ((-1.0,), (8,)),
     ((), ()),
     ((1.0, 1.0), (4,)),
+    ((1.0,), (2.7,)),
+    ((1.0,), (float("nan"),)),
 ])
 def test_grid_rejects_bad_arguments(extents, cells):
     with pytest.raises(ParameterError):
@@ -88,25 +90,23 @@ def test_integrate_rejects_corrupt_field():
 def test_face_gradient_constant_is_zero():
     g = Grid.line(1.0, 32)
     (gx,) = face_gradient(ScalarField.full(g, 4.2))
-    assert gx.shape == (33,)
+    assert gx.shape == (31,)
     assert np.all(gx == 0.0)
 
 
 def test_face_gradient_linear_1d():
     g = Grid.line(1.0, 32)
     (gx,) = face_gradient(ScalarField.from_function(g, lambda x: 3.0 * x))
-    assert np.allclose(gx[1:-1], 3.0, atol=1e-12)
-    assert gx[0] == 0.0 and gx[-1] == 0.0
+    assert gx.shape == (31,)
+    assert np.allclose(gx, 3.0, atol=1e-12)
 
 
 def test_face_gradient_linear_2d():
     g = Grid.box(1.0, 1.0, 16, 12)
     gx, gy = face_gradient(ScalarField.from_function(g, lambda x, y: x + 2.0 * y))
-    assert gx.shape == (17, 12) and gy.shape == (16, 13)
-    assert np.allclose(gx[1:-1, :], 1.0, atol=1e-12)
-    assert np.allclose(gy[:, 1:-1], 2.0, atol=1e-12)
-    assert np.all(gx[0, :] == 0.0) and np.all(gx[-1, :] == 0.0)
-    assert np.all(gy[:, 0] == 0.0) and np.all(gy[:, -1] == 0.0)
+    assert gx.shape == (15, 12) and gy.shape == (16, 11)
+    assert np.allclose(gx, 1.0, atol=1e-12)
+    assert np.allclose(gy, 2.0, atol=1e-12)
 
 
 def test_cell_gradient_sq_trivial_cases():
@@ -127,17 +127,14 @@ def test_cell_gradient_sq_matches_face_sum_for_gaussian():
 
 
 def test_divergence_theorem_for_interior_fluxes():
-    g = Grid.box(1.0, 2.0, 12, 10)
     gen = np.random.Generator(np.random.Philox(key=5))
-    fluxes = []
-    for ax in range(2):
-        flux = np.zeros(g.face_shape(ax))
-        inner = [slice(None)] * 2
-        inner[ax] = slice(1, -1)
-        flux[tuple(inner)] = gen.normal(size=flux[tuple(inner)].shape)
-        fluxes.append(flux)
-    total = divergence(g, fluxes).sum() * g.cell_volume
-    assert abs(total) <= 1e-12
+    for g in (Grid.line(1.0, 12), Grid.box(1.0, 2.0, 12, 10), Grid((1.0, 2.0, 0.5), (5, 4, 3))):
+        # one interior-face array per axis: the cell shape, that axis one shorter
+        fluxes = [gen.normal(size=np.subtract(g.cells, np.eye(g.dim, dtype=int)[ax]))
+                  for ax in range(g.dim)]
+        div = divergence(g, fluxes)
+        assert div.shape == g.shape
+        assert abs(div.sum() * g.cell_volume) <= 1e-12
 
 
 def test_snapshot_roundtrip_bitwise(tmp_path):
@@ -159,20 +156,11 @@ def test_snapshot_header_layout(tmp_path):
     write_snapshot(f, t=0.25, path=path)
     head = path.read_text().splitlines()[0].split()
     assert head == ["1", "4", "2", "0.25"]
-
-
-def test_export_csv(tmp_path):
-    g = Grid.line(1.0, 4)
-    f = ScalarField.from_function(g, lambda x: 2.0 * x)
-    path = tmp_path / "field.csv"
-    export_csv(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == 5
-    x0, v0 = (float(s) for s in lines[1].split(","))
-    assert x0 == 0.125 and v0 == 0.25
-    export_csv(ScalarField.full(Grid((1.0,) * 3, (2,) * 3), 1.0), path)
-    assert path.read_text().splitlines()[0] == "x,y,z,value"
+    # empty, header cut short, non-numeric, and one value short
+    for text in ("", "1 4", "x", "1 4 2 0.25 1 1 1"):
+        path.write_text(text)
+        with pytest.raises(CorruptFieldError):
+            read_snapshot(path)
 
 
 def test_row_major_cell_order():
