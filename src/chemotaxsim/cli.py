@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("overrides", nargs="*", metavar="key=value")
     p_sweep.add_argument("--axis", action="append", required=True,
                          metavar="name=v1,v2,...",
-                         help="axis over chi, a_scale, b_scale or mu; repeatable")
+                         help=f"axis over {', '.join(engine.SWEEP_AXES)}; repeatable")
     p_sweep.add_argument("--outdir", help="output directory (overrides run.outdir)")
     p_sweep.add_argument("--workers", type=int, default=None)
 

@@ -39,7 +39,16 @@ TRIGGER_OF = {
     TimestepCollapseError: "dt_collapse",
 }
 
-SWEEP_AXES = ("chi", "a_scale", "b_scale", "mu")
+# sweep axis name -> the ModelParams it makes from the template's and a value
+SWEEP_AXES = {
+    "chi": lambda params, value: replace(params, chi=value),
+    "a_scale": lambda params, value: replace(params, coeff_a=params.coeff_a.scaled(value)),
+    "b_scale": lambda params, value: replace(params, coeff_b=params.coeff_b.scaled(value)),
+    "mu": lambda params, value: replace(params, mu=value),
+}
+
+# _classify's ratio; a fixed rule, not tuned per run
+CLASSIFY_FACTOR = 1.1
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,8 @@ def build_ic(grid: Grid, ic: ICSpec, default_seed: int = 0) -> ScalarField:
         key = ic.seed if ic.seed is not None else default_seed
         gen = np.random.Generator(np.random.Philox(key=key))
         u0 = ScalarField(grid, ic.baseline + ic.amplitude * gen.uniform(0.0, 1.0, grid.shape))
+    if not np.isfinite(u0.values).all():
+        raise ConfigError("initial condition must be finite; its parameters overflow")
     if u0.min() < 0.0:
         raise ConfigError("initial condition must be nonnegative")
     if integrate(u0) <= 0.0:
@@ -101,8 +112,6 @@ class RunConfig:
     p_list: tuple[float, ...] = (2.0,)
     neg_p_list: tuple[float, ...] = ()
     grad_p: float | None = None
-    auto_neg_p: bool = True
-    classify_factor: float = 1.1
     seed: int = 0
     outdir: str | None = None
 
@@ -111,8 +120,6 @@ class RunConfig:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if not (0 <= self.diagnostics_every < math.inf and 0 <= self.snapshot_every < math.inf):
             raise ConfigError("cadence intervals must be finite and >= 0")
-        if not self.classify_factor > 1.0:
-            raise ConfigError("classify_factor must exceed 1")
         # the ranges the monitored functionals are defined on
         if not all(p >= 1.0 for p in self.p_list):
             raise ConfigError(f"diagnostics.p_list needs every p >= 1, got {self.p_list}")
@@ -171,7 +178,6 @@ _SECTION_KEYS = {
     "run": {"run.t_end": "t_end", "run.diagnostics_every": "diagnostics_every",
             "run.snapshot_every": "snapshot_every", "diagnostics.p_list": "p_list",
             "diagnostics.neg_p_list": "neg_p_list", "diagnostics.grad_p": "grad_p",
-            "diagnostics.auto_neg_p": "auto_neg_p", "run.classify_factor": "classify_factor",
             "run.seed": "seed", "run.outdir": "outdir"},
 }
 _KNOWN_KEYS = {"grid.dim", "grid.cells", "grid.extent"}.union(*_SECTION_KEYS.values())
@@ -195,14 +201,8 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _bool(text: str) -> bool:
-    if text.lower() not in ("1", "0", "true", "false", "yes", "no"):
-        raise ValueError(f"expected a boolean (1/0, true/false, yes/no), got {text!r}")
-    return text.lower() in ("1", "true", "yes")
-
-
 # a field's annotation, less any "| None", picks the parser of its value
-_PARSERS = {"float": float, "int": int, "str": str, "bool": _bool, "tuple[float, ...]": _floats}
+_PARSERS = {"float": float, "int": int, "str": str, "tuple[float, ...]": _floats}
 
 
 def _parse(kv: dict[str, str], key: str, parser, default=None):
@@ -267,16 +267,14 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
 
 # --- single run ---------------------------------------------------------------
 
-def _classify(records: list[diag.DiagnosticsRecord], factor: float) -> str:
+def _classify(records: list[diag.DiagnosticsRecord]) -> str:
     """Tail-trend heuristic: bounded iff the final third of max_u stays
-    within ``factor`` times the middle third's peak."""
+    within CLASSIFY_FACTOR times the middle third's peak."""
     maxes = [r.max_u for r in records]
     n = len(maxes)
-    if n < 3:
-        return VERDICT_BOUNDED if max(maxes) <= factor * maxes[0] else VERDICT_GROWING
     middle = maxes[n // 3:max(2 * n // 3, n // 3 + 1)]
     final = maxes[2 * n // 3:]
-    return VERDICT_BOUNDED if max(final) <= factor * max(middle) else VERDICT_GROWING
+    return VERDICT_BOUNDED if max(final) <= CLASSIFY_FACTOR * max(middle) else VERDICT_GROWING
 
 
 # negative-power exponents beyond this saturate f64 for ordinary densities
@@ -285,7 +283,7 @@ MAX_AUTO_NEG_P = 64.0
 
 def _monitored_neg_p(config: RunConfig, thr: ThresholdVerdict) -> tuple[float, ...]:
     neg = list(config.neg_p_list)
-    if config.auto_neg_p and thr.satisfied:
+    if thr.satisfied:
         window = beta_window(thr.chi, thr.mu, thr.a_inf)
         if window.p_hat <= MAX_AUTO_NEG_P and window.p_hat not in neg:
             neg.append(window.p_hat)
@@ -351,7 +349,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
                 k_snap = int(math.floor(state.t / config.snapshot_every + 1e-9)) + 1
         if not records or records[-1].t < state.t - eps_t:
             records.append(record_of(state))
-        verdict = _classify(records, config.classify_factor)
+        verdict = _classify(records)
     except tuple(TRIGGER_OF) as err:
         trigger, failure, verdict = TRIGGER_OF[type(err)], str(err), VERDICT_BLOWUP
         if isinstance(err, FieldOverflowError) and math.isfinite(err.max_u):
@@ -455,14 +453,7 @@ def _cell_config(template: RunConfig, axes: list[tuple[str, float]],
                  index: int, outdir: str | None) -> RunConfig:
     params = template.params
     for key, value in axes:
-        if key == "chi":
-            params = replace(params, chi=value)
-        elif key == "mu":
-            params = replace(params, mu=value)
-        elif key == "a_scale":
-            params = replace(params, coeff_a=params.coeff_a.scaled(value))
-        elif key == "b_scale":
-            params = replace(params, coeff_b=params.coeff_b.scaled(value))
+        params = SWEEP_AXES[key](params, value)
     ic = template.ic
     if ic.seed is None:
         ic = replace(ic, seed=(template.seed << 64) + index)
@@ -487,7 +478,7 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
     names = [k for k, _ in axes]
     for key in names:
         if key not in SWEEP_AXES:
-            raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {key!r}")
+            raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {key!r}")
     if len(set(names)) < len(names):
         raise ConfigError(f"sweep axes must be distinct, got {names}")
     out = Path(outdir) if outdir is not None else None
@@ -505,8 +496,8 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
         raise ConfigError("order must be a permutation of the cell indices")
 
     scheduled = [jobs[pos] for pos in schedule]
-    n_workers = workers if workers is not None else min(4, os.cpu_count() or 1)
-    if n_workers <= 1 or len(jobs) <= 1:
+    n_workers = min(workers if workers is not None else min(4, os.cpu_count() or 1), len(jobs))
+    if n_workers <= 1:
         results = dict(map(_run_cell, scheduled))
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -82,13 +82,14 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
                      "grid.dim=3 grid.cells=8 ic.kind=gaussian ic.center=0.2,0.8",
                      "ic.kind=random ic.seed=-1", f"ic.seed={2 ** 128}",
                      "run.seed=-3", f"run.seed={2 ** 64}",
-                     "diagnostics.auto_neg_p=ture",
                      # a NaN threshold would switch its guard off
                      "stepper.dt_min=nan", "stepper.u_ceiling=nan", "stepper.v_floor=nan",
-                     "run.classify_factor=nan",
                      "ic.kind=gaussian ic.width=nan", "ic.kind=gaussian ic.width=0",
                      "ic.kind=gaussian ic.width=-0.1", "ic.kind=gaussian ic.amplitude=inf",
                      "ic.kind=constant ic.value=inf", "ic.kind=random ic.amplitude=nan",
+                     # finite parameters whose initial condition overflows
+                     "grid.cells=16 ic.kind=gaussian ic.baseline=1e308 ic.amplitude=1e308",
+                     "grid.cells=16 ic.kind=random ic.baseline=1e308 ic.amplitude=1e308",
                      # exponents outside the monitored functionals' ranges
                      "diagnostics.p_list=0.5", "diagnostics.neg_p_list=-1",
                      "diagnostics.grad_p=1.5"):
@@ -98,7 +99,7 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
 
 def test_run_subcommand_parse_error_names_its_key(cfg_path, tmp_path, capsys):
     for key, value in (("model.chi", "abc"), ("ic.seed", "1.5"),
-                       ("diagnostics.auto_neg_p", "ture"), ("grid.dim", "x"),
+                       ("grid.dim", "x"),
                        ("grid.cells", "4,a"), ("grid.extent", "q")):
         assert main(["run", str(cfg_path), f"{key}={value}",
                      "--outdir", str(tmp_path / "out")]) == 2, key

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -71,17 +72,16 @@ ALL_KEYS = {
     "stepper.cfl_safety": "0.3", "stepper.dt_min": "1e-10", "stepper.u_ceiling": "1e6",
     "stepper.v_floor": "1e-9", "elliptic.rel_tolerance": "1e-9",
     "run.t_end": "0.3", "run.diagnostics_every": "0.05", "run.snapshot_every": "0.1",
-    "run.seed": "17", "run.classify_factor": "1.2", "run.outdir": "somewhere",
+    "run.seed": "17", "run.outdir": "somewhere",
     "ic.kind": "gaussian", "ic.value": "2", "ic.center": "0.4,0.6", "ic.width": "0.2",
     "ic.amplitude": "1.5", "ic.baseline": "0.1", "ic.seed": "99",
     "diagnostics.p_list": "2,3", "diagnostics.neg_p_list": "1,2", "diagnostics.grad_p": "1.5",
-    "diagnostics.auto_neg_p": "false",
 }
 
 
 def test_config_schema_defaults_fields_and_readme():
     assert config_from_mapping({}) == RunConfig()
-    assert engine._KNOWN_KEYS == set(ALL_KEYS) and len(ALL_KEYS) == 38
+    assert engine._KNOWN_KEYS == set(ALL_KEYS) and len(ALL_KEYS) == 36
     # each key sets the field its section names and nothing else in it
     def section(cfg, name):
         if name in ("coeff_a", "coeff_b"):
@@ -98,18 +98,10 @@ def test_config_schema_defaults_fields_and_readme():
             assert replace(got, **{field: getattr(default, field)}) == default, key
     grid = config_from_mapping(ALL_KEYS).grid
     assert (grid.cells, grid.extents) == ((8, 6), (1.0, 2.0))
-    # doc-drift guard: the README lists every key
+    # doc-drift guard: the README lists every key and counts them
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert [key for key in ALL_KEYS if f"`{key}`" not in readme] == []
-
-
-def test_config_booleans_are_strict():
-    for text, value in (("1", True), ("TRUE", True), ("Yes", True),
-                        ("0", False), ("false", False), ("NO", False)):
-        assert config_from_mapping({"diagnostics.auto_neg_p": text}).auto_neg_p is value
-    for text in ("ture", "", "2", "on"):
-        with pytest.raises(ConfigError, match="boolean"):
-            config_from_mapping({"diagnostics.auto_neg_p": text})
+    assert re.findall(r"The (\d+) keys", readme) == [str(len(engine._KNOWN_KEYS))]
 
 
 def test_load_config_with_overrides(tmp_path):
@@ -340,16 +332,18 @@ def _fake_records(maxes):
 
 def test_classify_tail_trend_heuristic():
     flat = _fake_records([1.0] * 12)
-    assert engine._classify(flat, 1.1) == "CompletedBounded"
+    assert engine._classify(flat) == "CompletedBounded"
     settling = _fake_records([2.0, 1.5, 1.2, 1.1, 1.05, 1.02, 1.01, 1.0, 1.0])
-    assert engine._classify(settling, 1.1) == "CompletedBounded"
+    assert engine._classify(settling) == "CompletedBounded"
     growing = _fake_records([1.0 * 1.2 ** i for i in range(12)])
-    assert engine._classify(growing, 1.1) == "CompletedGrowing"
+    assert engine._classify(growing) == "CompletedGrowing"
     # ratio within factor on a slow drift
     slow = _fake_records([1.0 + 0.001 * i for i in range(12)])
-    assert engine._classify(slow, 1.1) == "CompletedBounded"
-    tiny = _fake_records([1.0, 1.05])
-    assert engine._classify(tiny, 1.1) == "CompletedBounded"
+    assert engine._classify(slow) == "CompletedBounded"
+    # one or two records: the thirds compare the last max_u with the first
+    assert engine._classify(_fake_records([1.0])) == "CompletedBounded"
+    assert engine._classify(_fake_records([1.0, 1.2])) == "CompletedGrowing"
+    assert engine._classify(_fake_records([1.0, 1.05])) == "CompletedBounded"
 
 
 def test_persistence_trend_in_decaying_mass_regime():
@@ -422,6 +416,32 @@ def test_sweep_deterministic_across_workers_and_order(tmp_path):
         d2 = (tmp_path / "b" / "cells" / cell / "diagnostics.csv").read_bytes()
         d3 = (tmp_path / "c" / "cells" / cell / "diagnostics.csv").read_bytes()
         assert d1 == d2 == d3
+
+
+def test_sweep_pool_is_capped_at_the_cell_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    template = sweep_template(n=8, t_end=0.01)
+    result = sweep(template, [("chi", [0.5, 2.0])], outdir=tmp_path / "two", workers=64)
+    assert sizes == [2] and len(result.rows) == 2
+    sweep(template, [("chi", [0.5])], outdir=tmp_path / "one", workers=64)
+    assert sizes == [2]
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):
