@@ -19,6 +19,6 @@ from .regimes import (BetaWindow, LpPlan, ThresholdVerdict, beta_window,
                       boundedness_threshold, lp_parameter_plan,
                       select_lp_exponent, threshold)
 from .stepper import (CoefficientSpec, ModelParams, SimState, StepperConfig,
-                      advance, chemotactic_velocity, initial_state, propose_dt)
+                      advance, chemotactic_velocity, initial_state)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError, ParameterError
+from .errors import ParameterError
 from .mesh import ScalarField, cell_gradient_sq, integrate, require_finite
 
 DEGENERACY_FLOOR = 1e-300
@@ -32,12 +32,9 @@ def lp_norm(f: ScalarField, p: float) -> float:
 
 
 def rayleigh(v: ScalarField) -> float:
-    """The Rayleigh-type monitor int |grad v|^2 / v^2."""
+    """The Rayleigh-type monitor int |grad v|^2 / v^2; v > 0."""
     if v.min() <= 0.0:
-        # a run's summary.json reports this text as its failure; it keeps the
-        # name of the functional this monitor specialises, byte for byte
-        raise DegeneracyError("grad_weighted_integral hit a nonpositive chemical cell",
-                              min_v=v.min())
+        raise ParameterError("rayleigh needs a positive field")
     vals = cell_gradient_sq(v).values / v.values ** 2.0
     return float(vals.sum() * v.grid.cell_volume)
 

@@ -111,14 +111,13 @@ def _check_residual(grid: Grid, mu: float, b: np.ndarray, v: np.ndarray,
     be inf, so an accepted v is finite."""
     res = _norm2(b - apply_operator(grid, mu, v))
     if not res < math.inf:
-        raise SolverFailureError(f"elliptic solve residual is {res}", residual=res)
+        raise SolverFailureError(f"elliptic solve residual is {res}")
     b_norm = _norm2(b)
     if res <= rel_tol * b_norm:  # sufficient, and cheaper on the per-step path
         return
     a_norm = mu + sum(4.0 / h ** 2 for h in grid.spacing)
     if not res <= rel_tol * (a_norm * _norm2(v) + b_norm):
-        raise SolverFailureError(f"elliptic solve residual {res:.3e} above tolerance",
-                                 residual=res)
+        raise SolverFailureError(f"elliptic solve residual {res:.3e} above tolerance")
 
 
 def solve_chemical(u: ScalarField, mu: float, nu: float,

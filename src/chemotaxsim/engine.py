@@ -293,9 +293,10 @@ def _monitored_neg_p(config: RunConfig, thr: ThresholdVerdict) -> tuple[float, .
 def run(config: RunConfig, outdir=None) -> RunOutcome:
     """Advance from t=0 to t_end or to a failure trigger.
 
-    Solver errors become verdicts, never uncaught exceptions.  Diagnostics
-    rows are appended at the first step past each cadence point; snapshots
-    likewise when enabled.
+    Solver errors become verdicts, never uncaught exceptions.  Every pair
+    from t=0 on passes one emission point: a diagnostics row at the first
+    pair past each cadence point and at the final pair, and a snapshot at
+    the first pair past each snapshot point when enabled.
     """
     out = Path(outdir) if outdir is not None else (
         Path(config.outdir) if config.outdir else None)
@@ -320,41 +321,36 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
     records: list[diag.DiagnosticsRecord] = []
     eps_t = 1e-12 * max(1.0, config.t_end)
     cadence = config.cadence
-    k_diag = 1
-    k_snap = 1
+    k_diag = 0
+    k_snap = 0
     n_snap = 0
     peak_u = -math.inf
     min_v = math.inf
     state = None
 
     try:
-        state = initial_state(u0, params, config.elliptic)
-        records.append(record_of(state))
-        peak_u = state.u_max
-        min_v = state.v_min
-        if snapdir is not None:
-            write_snapshot(state.u, state.t, snapdir / f"t{n_snap}.field")
-            n_snap += 1
-        while config.t_end - state.t > eps_t:
-            advance(state, params, config.stepper, config.elliptic,
-                    dt_cap=config.t_end - state.t)
+        state = initial_state(u0, params, config.elliptic, config.stepper)
+        while True:
             peak_u = max(peak_u, state.u_max)
             min_v = min(min_v, state.v_min)
-            if state.t + eps_t >= k_diag * cadence:
+            done = config.t_end - state.t <= eps_t
+            if done or state.t + eps_t >= k_diag * cadence:
                 records.append(record_of(state))
                 k_diag = int(math.floor(state.t / cadence + 1e-9)) + 1
             if snapdir is not None and state.t + eps_t >= k_snap * config.snapshot_every:
                 write_snapshot(state.u, state.t, snapdir / f"t{n_snap}.field")
                 n_snap += 1
                 k_snap = int(math.floor(state.t / config.snapshot_every + 1e-9)) + 1
-        if not records or records[-1].t < state.t - eps_t:
-            records.append(record_of(state))
+            if done:
+                break
+            advance(state, params, config.stepper, config.elliptic,
+                    dt_cap=config.t_end - state.t)
         verdict = _classify(records)
     except tuple(TRIGGER_OF) as err:
         trigger, failure, verdict = TRIGGER_OF[type(err)], str(err), VERDICT_BLOWUP
         if isinstance(err, FieldOverflowError) and math.isfinite(err.max_u):
             peak_u = max(peak_u, err.max_u)
-        if isinstance(err, DegeneracyError) and math.isfinite(err.min_v):
+        if isinstance(err, DegeneracyError):
             min_v = min(min_v, err.min_v)
     except SolverFailureError as err:
         failure, verdict = str(err), VERDICT_SOLVER

@@ -21,7 +21,7 @@ class CorruptFieldError(SimulationError):
 class DegeneracyError(SimulationError):
     """The chemical field dropped below its positivity floor (min v < v_floor)."""
 
-    def __init__(self, message: str, min_v: float = float("nan")):
+    def __init__(self, message: str, min_v: float):
         super().__init__(message)
         self.min_v = min_v
 
@@ -37,17 +37,9 @@ class FieldOverflowError(SimulationError):
 class TimestepCollapseError(SimulationError):
     """The stable timestep fell below dt_min; treated as numerical blow-up evidence."""
 
-    def __init__(self, message: str, dt: float = float("nan")):
-        super().__init__(message)
-        self.dt = dt
-
 
 class SolverFailureError(SimulationError):
     """The elliptic solver failed to reach its residual tolerance."""
-
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
 
 
 class ThresholdNotMetError(ParameterError):

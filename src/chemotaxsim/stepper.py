@@ -5,8 +5,8 @@ field solved from the current density.  One step does, in order: build the
 singular drift velocity w = chi * grad(v)/v on faces from that v, propose a
 stable dt, apply a flux-form forward Euler update with central diffusion,
 donor-cell (upwind) advection and an explicit logistic reaction, then solve
-V of the new density and only then store the new pair.  Flux form plus zero
-Neumann boundary faces makes the discrete mass identity
+V of the new density, check it against the floor v_floor and only then store
+the new pair.  Flux form and zero Neumann boundary faces make the mass identity
 
     int u_new = int u_old + dt * int u_old*(a - b*u_old)
 
@@ -192,18 +192,25 @@ class SimState:
         self.v_min = self.v.min()
 
 
-def initial_state(u0: ScalarField, params: ModelParams,
-                  elliptic_cfg: EllipticConfig = DEFAULT_ELLIPTIC) -> SimState:
-    v0 = solve_chemical(u0, params.mu, params.nu, elliptic_cfg)
-    return SimState(t=0.0, step=0, u=u0.copy(), v=v0)
-
-
-def _interior_drift(v: ScalarField, chi: float, v_floor: float,
-                    min_v: float) -> list[np.ndarray]:
-    """:func:`chemotactic_velocity` given ``min_v``, which is ``v.min()``."""
+def _require_floor(min_v: float, v_floor: float) -> None:
+    """Raise DegeneracyError when a chemical field's minimum is below v_floor or zero."""
     if min_v < v_floor or min_v <= 0.0:
         raise DegeneracyError(
             f"chemical field at {min_v:.3e} dropped below floor {v_floor:.3e}", min_v=min_v)
+
+
+def initial_state(u0: ScalarField, params: ModelParams,
+                  elliptic_cfg: EllipticConfig = DEFAULT_ELLIPTIC,
+                  cfg: StepperConfig = DEFAULT_STEPPER) -> SimState:
+    """The pair (u0, V(u0)) at t=0; raises when V(u0) is below the floor."""
+    v0 = solve_chemical(u0, params.mu, params.nu, elliptic_cfg)
+    state = SimState(t=0.0, step=0, u=u0.copy(), v=v0)
+    _require_floor(state.v_min, cfg.v_floor)
+    return state
+
+
+def _interior_drift(v: ScalarField, chi: float) -> list[np.ndarray]:
+    """Drift velocity on interior faces; v > 0 (see :func:`_require_floor`)."""
     grid = v.grid
     out = []
     for (lo, hi), h in zip(grid.face_slices, grid.spacing):
@@ -219,15 +226,17 @@ def chemotactic_velocity(v: ScalarField, chi: float,
     The face average is arithmetic.  Any cell at or below v_floor means the
     singular sensitivity is no longer evaluable and raises DegeneracyError.
     """
-    return _interior_drift(v, chi, v_floor, v.min())
+    _require_floor(v.min(), v_floor)
+    return _interior_drift(v, chi)
 
 
 def _drift_and_dt(state: SimState, params: ModelParams,
                   cfg: StepperConfig) -> tuple[list[np.ndarray], float]:
     """Interior-face drift from state.v, and the stable dt sigma *
     min(diffusion, advection, reaction guards); zero-denominator guards are
-    skipped.  Raises on collapse below dt_min."""
-    w = _interior_drift(state.v, params.chi, cfg.v_floor, state.v_min)
+    skipped.  Raises on collapse below dt_min or on state.v below the floor."""
+    _require_floor(state.v_min, cfg.v_floor)  # a hand-built state or a raised floor fails it
+    w = _interior_drift(state.v, params.chi)
     grid = state.u.grid
     h_min = grid.min_spacing
     guards = [h_min * h_min / (2.0 * grid.dim)]
@@ -239,15 +248,8 @@ def _drift_and_dt(state: SimState, params: ModelParams,
         guards.append(1.0 / reaction_rate)
     dt = cfg.cfl_safety * min(guards)
     if dt < cfg.dt_min:
-        raise TimestepCollapseError(f"proposed dt {dt:.3e} below dt_min {cfg.dt_min:.3e}", dt=dt)
+        raise TimestepCollapseError(f"proposed dt {dt:.3e} below dt_min {cfg.dt_min:.3e}")
     return w, dt
-
-
-def propose_dt(state: SimState, params: ModelParams,
-               cfg: StepperConfig = DEFAULT_STEPPER) -> float:
-    """The dt the next uncapped :func:`advance` starts from; raises on
-    collapse below dt_min."""
-    return _drift_and_dt(state, params, cfg)[1]
 
 
 def _explicit_rhs(u: ScalarField, w: list[np.ndarray],
@@ -268,20 +270,20 @@ def advance(state: SimState, params: ModelParams,
             dt_cap: float = math.inf) -> SimState:
     """Advance the state by one accepted step (mutates and returns it).
 
-    Keeps the state's invariants.  Order of operations: drift
-    velocity from state.v, the dt of :func:`propose_dt` capped at dt_cap,
-    the explicit update, then one elliptic solve V(u_new).  A step
-    producing genuine negatives is rejected and retried at dt/2 (up to
-    MAX_HALVINGS); negatives within CLAMP_FRACTION*max(u) of zero are
-    roundoff and get zeroed instead of burning retries.
+    Keeps the state's invariants.  Order of operations: drift velocity
+    from state.v, the guards' dt capped at dt_cap, the explicit update, then
+    one elliptic solve V(u_new).  A step producing genuine negatives is
+    rejected and retried at dt/2 (up to MAX_HALVINGS); negatives within
+    CLAMP_FRACTION*max(u) of zero are roundoff and get zeroed instead.
 
-    Failure modes map to distinct exceptions: DegeneracyError (v_floor),
-    FieldOverflowError (u_ceiling), TimestepCollapseError (dt_min or retry
-    budget), SolverFailureError (elliptic).  The state is assigned only
-    after the new solve succeeds, so on any of them it still holds the last
-    consistent (u, V(u)) pair.  The solve's source check is the step's one
-    finiteness pass: the positivity and u_ceiling tests reject a NaN or inf
-    u_new first, and the solve's residual check rejects a non-finite v.
+    Failure modes map to distinct exceptions: DegeneracyError (v_floor, on
+    V(u_new)), FieldOverflowError (u_ceiling, on u_new),
+    TimestepCollapseError (dt_min or retry budget), SolverFailureError
+    (elliptic).  The state is assigned only after the new pair passes every
+    check, so on any of them it still holds the last consistent (u, V(u))
+    pair.  The solve's source check is the step's one finiteness pass: the
+    positivity and u_ceiling tests reject a NaN or inf u_new first, and the
+    solve's residual check rejects a non-finite v.
 
     Replay: when a full step was uncapped (its guard dt <= dt_cap), both
     coefficients have omega == 0, and u_new and V(u_new) equal u and v
@@ -321,10 +323,10 @@ def advance(state: SimState, params: ModelParams,
         dt *= 0.5
         if dt < cfg.dt_min:
             raise TimestepCollapseError(
-                f"dt collapsed to {dt:.3e} while restoring positivity", dt=dt)
+                f"dt collapsed to {dt:.3e} while restoring positivity")
     else:
         raise TimestepCollapseError(
-            f"positivity not restored after {MAX_HALVINGS} halvings", dt=dt)
+            f"positivity not restored after {MAX_HALVINGS} halvings")
 
     u_peak = float(u_new.max())
     if not math.isfinite(u_peak) or u_peak > cfg.u_ceiling:
@@ -333,6 +335,8 @@ def advance(state: SimState, params: ModelParams,
 
     u_field = ScalarField(grid, u_new)
     v_new = solve_chemical(u_field, params.mu, params.nu, elliptic_cfg)
+    v_min = v_new.min()
+    _require_floor(v_min, cfg.v_floor)
     # the max test first: a step that moved u's max costs one comparison
     if (u_peak == state.u_max and guard_dt <= dt_cap
             and params.coeff_a.omega == params.coeff_b.omega == 0.0
@@ -342,7 +346,7 @@ def advance(state: SimState, params: ModelParams,
     state.u = u_field
     state.v = v_new
     state.u_max = u_peak
-    state.v_min = v_new.min()
+    state.v_min = v_min
     state.t += dt
     state.step += 1
     state.dt_last = dt

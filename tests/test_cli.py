@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,24 @@ def test_run_subcommand_overflowing_source_is_a_solver_failure(cfg_path, tmp_pat
     assert payload["verdict"] == "SolverFailure"
     assert payload["steps"] == 0
     assert (payload["peak_max_u"], payload["min_min_v"]) == ("-inf", "inf")
+
+
+@pytest.mark.parametrize("mu, min_v", [("1e30", "0.000e+00"), ("1e20", "2.886e-250")])
+def test_run_subcommand_chemical_underflow_at_t0_is_a_v_floor_trigger(cfg_path, tmp_path,
+                                                                      capsys, mu, min_v):
+    # a narrow bump on a zero baseline: V(u0) underflows far from it, and the
+    # stepper's floor check rejects the initial pair before any monitor reads it
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", str(cfg_path), "grid.cells=32", f"model.mu={mu}", "ic.kind=gaussian",
+                     "ic.width=0.01", "ic.baseline=0", "--outdir", str(out)])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert (payload["trigger"], payload["steps"], payload["peak_max_u"]) == ("v_floor", 0, "-inf")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"] == f"chemical field at {min_v} dropped below floor 1.000e-12"
+    assert (out / "diagnostics.csv").read_text().count("\n") == 1  # the header only
 
 
 def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):

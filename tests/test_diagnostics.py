@@ -52,6 +52,12 @@ def test_rayleigh_exponential():
     assert diag.rayleigh(const) == 0.0
 
 
+def test_rayleigh_rejects_a_field_with_a_zero_cell():
+    grid = Grid.line(1.0, 8)
+    with pytest.raises(ParameterError, match="rayleigh needs a positive field"):
+        diag.rayleigh(ScalarField(grid, np.linspace(0.0, 1.0, 8)))
+
+
 def test_rayleigh_bound_for_solver_states():
     gen = np.random.Generator(np.random.Philox(key=71))
     g = Grid.line(1.0, 256)

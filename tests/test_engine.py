@@ -204,6 +204,17 @@ def test_every_record_pairs_u_with_its_own_v(tmp_path):
         assert (rec.min_v, rec.max_v) == (v.min(), v.max())
 
 
+def capture_states(monkeypatch):
+    """The list of states engine.run starts from; it advances each in place."""
+    states = []
+
+    def initial_state(*args):
+        states.append(stepper.initial_state(*args))
+        return states[-1]
+    monkeypatch.setattr(engine, "initial_state", initial_state)
+    return states
+
+
 def test_run_through_a_fixed_point_matches_full_steps(monkeypatch):
     # the bump settles on u = a/b bitwise near step 5,200 of 6,400; the run
     # replays the steps after it, the hand loop runs each in full on a copy
@@ -211,16 +222,11 @@ def test_run_through_a_fixed_point_matches_full_steps(monkeypatch):
                          CoefficientSpec.constant(1.0))
     cfg = quick_config(grid=Grid.line(1.0, 8), params=params, t_end=20.0,
                        ic=ICSpec(kind="gaussian", width=0.25, amplitude=0.5, baseline=0.5))
-    states, solves = [], []
-
-    def initial_state(*args):
-        states.append(stepper.initial_state(*args))
-        return states[-1]
+    states, solves = capture_states(monkeypatch), []
 
     def solve(*args):
         solves.append(args)
         return solve_chemical(*args)
-    monkeypatch.setattr(engine, "initial_state", initial_state)
     monkeypatch.setattr(stepper, "solve_chemical", solve)
     outcome = run(cfg)
     [final] = states
@@ -241,11 +247,24 @@ def test_run_through_a_fixed_point_matches_full_steps(monkeypatch):
     assert (outcome.peak_max_u, outcome.min_min_v) == (peak, low)
 
 
-def test_trigger_fidelity_v_floor(tmp_path):
-    cfg = quick_config(stepper=StepperConfig(v_floor=1e3))
+def test_trigger_fidelity_v_floor(tmp_path, monkeypatch):
+    # the chemical minimum decays through the floor near t = 1.04; the run
+    # stops at the last pair that cleared it
+    params = ModelParams(3.0, 1.0, 1.0, CoefficientSpec.constant(0.1),
+                         CoefficientSpec.constant(1.0))
+    cfg = quick_config(grid=Grid.line(1.0, 32), params=params, t_end=2.0,
+                       ic=ICSpec(kind="gaussian", baseline=0.05),
+                       stepper=StepperConfig(v_floor=0.25))
+    states = capture_states(monkeypatch)
     outcome = run(cfg, outdir=tmp_path)
     assert outcome.verdict == "NumericalBlowUpSuspected"
     assert outcome.trigger == "v_floor"
+    assert 1.0 < outcome.t_reached < 1.1
+    [final] = states
+    assert (final.t, final.step) == (outcome.t_reached, outcome.steps)
+    assert final.v_min == final.v.min() >= cfg.stepper.v_floor
+    assert np.array_equal(final.v.values, solve_chemical(final.u, 1.0, 1.0).values)
+    assert all(r.min_v >= cfg.stepper.v_floor for r in outcome.records)
     summary = json.loads(Path(outcome.summary_path).read_text())
     assert summary["trigger"] == "v_floor"
     assert summary["persistence"]["passed"] is False

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from chemotaxsim.errors import (DegeneracyError, FieldOverflowError,
                                 ParameterError, SolverFailureError,
                                 TimestepCollapseError)
 from chemotaxsim.mesh import Grid, ScalarField, integrate
+from chemotaxsim.regimes import threshold
 from chemotaxsim.stepper import (CoefficientSpec, ModelParams, SimState,
                                  StepperConfig, advance, chemotactic_velocity,
-                                 initial_state, propose_dt)
+                                 initial_state)
 
 
 def constant_params(chi=1.0, mu=1.0, nu=1.0, a=1.0, b=1.0):
@@ -95,24 +98,25 @@ def test_velocity_degeneracy_detection():
 
 
 # --- dt proposal -------------------------------------------------------------
+# an uncapped step that needs no positivity halving takes the proposed dt,
+# so dt_last is the proposal
 
 def test_propose_dt_diffusion_limited():
     grid = Grid.line(1.0, 128)
     params = constant_params(chi=0.0, a=1.0, b=1.0)
-    state = initial_state(ScalarField.full(grid, 1.0), params)
-    dt = propose_dt(state, params)
-    assert dt == pytest.approx(0.4 / 32768.0, rel=1e-12)
+    state = advance(initial_state(ScalarField.full(grid, 1.0), params), params)
+    assert state.dt_last == pytest.approx(0.4 / 32768.0, rel=1e-12)
 
 
 def test_propose_dt_reaction_limited_on_coarse_grid():
     grid = Grid.line(1.0, 2)
     params = constant_params(chi=0.0, a=1.0, b=1.0)
-    state = initial_state(ScalarField.full(grid, 1.0), params)
+    state = advance(initial_state(ScalarField.full(grid, 1.0), params), params)
     # h^2/2 = 1/8 > 1/3 reaction guard? no: 1/(1+2) = 1/3 > 1/8, diffusion binds.
-    assert propose_dt(state, params) == pytest.approx(0.4 * 0.125)
-    big = initial_state(ScalarField.full(grid, 100.0), params)
+    assert state.dt_last == pytest.approx(0.4 * 0.125)
+    big = advance(initial_state(ScalarField.full(grid, 100.0), params), params)
     # reaction guard 1/(1+200) now binds
-    assert propose_dt(big, params) == pytest.approx(0.4 / 201.0)
+    assert big.dt_last == pytest.approx(0.4 / 201.0)
 
 
 def test_propose_dt_advection_guard_dominates_for_huge_velocity():
@@ -124,7 +128,8 @@ def test_propose_dt_advection_guard_dominates_for_huge_velocity():
     w_max = np.abs(w).max()
     h = grid.spacing[0]
     assert h / w_max < h * h / 2.0
-    assert propose_dt(state, params) == pytest.approx(0.4 * h / w_max, rel=1e-12)
+    advance(state, params)
+    assert state.dt_last == pytest.approx(0.4 * h / w_max, rel=1e-12)
 
 
 def test_propose_dt_is_the_next_uncapped_step_and_v_tracks_u():
@@ -132,10 +137,13 @@ def test_propose_dt_is_the_next_uncapped_step_and_v_tracks_u():
     params = constant_params(chi=500.0, a=0.0, b=0.0)
     u0 = ScalarField.from_function(grid, lambda x: 1.0 + 0.9 * np.sin(2 * np.pi * x))
     state = initial_state(u0, params)
+    h = grid.spacing[0]
     for _ in range(5):
-        dt = propose_dt(state, params)
+        # the advection guard binds at each of these steps
+        (w,) = chemotactic_velocity(state.v, params.chi)
+        dt = 0.4 * h / float(np.abs(w).max())
         advance(state, params)
-        assert state.dt_last == dt
+        assert state.dt_last == pytest.approx(dt, rel=1e-12)
         assert np.array_equal(state.v.values,
                               solve_chemical(state.u, params.mu, params.nu).values)
 
@@ -145,7 +153,8 @@ def test_timestep_collapse_error():
     params = constant_params()
     state = initial_state(ScalarField.full(grid, 1.0), params)
     with pytest.raises(TimestepCollapseError):
-        propose_dt(state, params, StepperConfig(dt_min=1.0))
+        advance(state, params, StepperConfig(dt_min=1.0))
+    assert (state.t, state.step, state.dt_last) == (0.0, 0, 0.0)
 
 
 # --- advance -----------------------------------------------------------------
@@ -301,6 +310,23 @@ def test_overflow_and_degeneracy_outcomes_are_distinct():
         advance(state3, params, StepperConfig(dt_min=1.0))
 
 
+def test_floor_is_checked_where_each_pair_is_made():
+    # u' = -u^2 makes u, and so v = V(u), fall in the first step; the floor
+    # sits between V(u0) = 1 and V(u1) = 1 - dt
+    grid = Grid.line(1.0, 32)
+    params = constant_params(chi=1.0, a=0.0, b=1.0)
+    cfg = StepperConfig(v_floor=0.99999)
+    with pytest.raises(DegeneracyError, match="chemical field at 5.000e-01"):
+        initial_state(ScalarField.full(grid, 0.5), params, cfg=cfg)
+    state = initial_state(ScalarField.full(grid, 1.0), params, cfg=cfg)
+    u, v = state.u, state.v
+    with pytest.raises(DegeneracyError) as err:
+        advance(state, params, cfg)
+    assert err.value.min_v < cfg.v_floor <= state.v_min
+    assert state.u is u and state.v is v
+    assert (state.t, state.step, state.dt_last) == (0.0, 0, 0.0)
+
+
 def test_accepted_steps_are_nonnegative_with_sharp_profile():
     grid = Grid.line(1.0, 64)
     params = constant_params(chi=8.0, a=0.5, b=0.5)
@@ -318,7 +344,7 @@ def test_failed_solve_leaves_state_unchanged(monkeypatch):
     def solve_once(u, mu, nu, cfg):
         calls.append(u)
         if len(calls) == 2:
-            raise SolverFailureError("injected", residual=1.0)
+            raise SolverFailureError("injected")
         return solve_chemical(u, mu, nu, cfg)
 
     monkeypatch.setattr(stepper, "solve_chemical", solve_once)
@@ -362,6 +388,78 @@ def test_accepted_step_checks_finiteness_once_and_solves_once(grid, monkeypatch)
     advance(state, params)
     assert state.step == 1
     assert calls == {"require_finite": 1, "solve_chemical": 1, "_check_residual": 1}
+
+
+# --- linear stability about the constant state ---------------------------------
+# About u* = a/b, v* = nu*u*/mu the linearised scheme is diagonal in the
+# discrete Neumann cosine modes: mode k grows by exactly 1 + dt*sigma_h(k)
+# per explicit step (upwinding and the face average of v enter at second
+# order), with lam_k the mode's eigenvalue of -Lap_h.
+
+def axis_eigenvalues(length, n):
+    """lam_k, k = 0..n-1, of -Lap_h on n cells of [0, length], in closed form."""
+    return 2.0 * (n / length) ** 2 * (1.0 - np.cos(np.arange(n) * np.pi / n))
+
+
+def neumann_eigenvalue(grid, mode):
+    """lam_k of -Lap_h on ``grid`` for the cosine mode ``mode``."""
+    return sum(axis_eigenvalues(length, n)[k]
+               for length, n, k in zip(grid.extents, grid.cells, mode))
+
+
+def sigma_h(lam, chi, mu, a):
+    return -lam + chi * mu * lam / (mu + lam) - a
+
+
+@pytest.mark.parametrize("grid, mode, chi, mu, a", [
+    (Grid.line(1.0, 32), (1,), 1.0, 1.0, 1.0),
+    (Grid.line(1.0, 32), (3,), 1.0, 1.0, 1.0),
+    (Grid.line(1.0, 32), (1,), 3.0, 50.0, 0.1),
+    (Grid.box(1.5, 1.0, 16, 12), (1, 1), 2.5, 50.0, 0.5),
+    (Grid.box(1.5, 1.0, 16, 12), (2, 1), 1.0, 1.0, 1.0),
+    (Grid((1.0,) * 3, (8,) * 3), (1, 0, 1), 2.0, 1.0, 1.0),
+    (Grid((1.0,) * 3, (8,) * 3), (1, 1, 0), 2.0, 50.0, 0.1),
+], ids=["1d-k1", "1d-k3", "1d-unstable", "2d-unstable", "2d-stable", "3d-stable",
+        "3d-unstable"])
+def test_cosine_mode_grows_by_the_discrete_dispersion_relation(grid, mode, chi, mu, a):
+    # 200 steps from u = a*(1 + 1e-7*phi_k): the projected log-growth of
+    # mode k against sum log(1 + dt_n*sigma_h(k)).  The defects measured
+    # 7e-10 to 1.3e-7 here; 2e-6 leaves a margin of 15x.  nu != mu, so a
+    # swapped mu and nu moves sigma_h, as a wrong factor in w or h does.
+    params = ModelParams(chi, mu, 2.0, CoefficientSpec.constant(a),
+                         CoefficientSpec.constant(1.0))
+    phi = np.prod([np.cos(k * np.pi * x / length) for x, k, length in
+                   zip(grid.coordinate_fields(), mode, grid.extents)], axis=0)
+
+    def amplitude(u):
+        return float(((u.values - a) * phi).sum() / (phi * phi).sum())
+
+    state = initial_state(ScalarField(grid, a * (1.0 + 1e-7 * phi)), params)
+    amp0 = amplitude(state.u)
+    sigma = sigma_h(neumann_eigenvalue(grid, mode), chi, mu, a)
+    predicted = 0.0
+    for _ in range(200):
+        advance(state, params)
+        predicted += math.log1p(state.dt_last * sigma)
+    measured = math.log(amplitude(state.u) / amp0)
+    assert abs(measured - predicted) <= 2e-6 * abs(predicted)
+
+
+def test_boundedness_threshold_lies_inside_the_linear_stability_region():
+    # sigma_h <= max over lam >= 0 of the continuum curve, mu*(sqrt(chi)-1)^2 - a,
+    # which lies below the paper's threshold; so above the threshold every
+    # mode of every grid decays
+    gen = np.random.Generator(np.random.Philox(key=67))
+    for _ in range(200):
+        dim = int(gen.integers(1, 4))
+        cells = tuple(int(n) for n in gen.integers(2, (65, 17, 9)[dim - 1], size=dim))
+        grid = Grid(tuple(gen.uniform(0.2, 5.0, size=dim)), cells)
+        chi, mu = gen.uniform(0.05, 12.0), 10.0 ** gen.uniform(-2.0, 2.0)
+        a = threshold(chi, mu) * (1.0 + gen.uniform(1e-6, 1.0))
+        lam = sum(np.meshgrid(*map(axis_eigenvalues, grid.extents, cells), indexing="ij"))
+        sigma = sigma_h(lam, chi, mu, a)
+        assert sigma.max() < 0.0
+        assert np.all(sigma <= mu * (math.sqrt(chi) - 1.0) ** 2 - a)
 
 
 # --- fixed-point replay --------------------------------------------------------
