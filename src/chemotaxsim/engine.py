@@ -75,19 +75,21 @@ class ICSpec:
 
 
 def build_ic(grid: Grid, ic: ICSpec, default_seed: int = 0) -> ScalarField:
-    if ic.kind == "constant":
-        u0 = ScalarField.full(grid, ic.value)
-    elif ic.kind == "gaussian":
-        if len(ic.center) not in (1, grid.dim):
-            raise ConfigError(f"ic.center needs 1 or grid.dim={grid.dim} values")
-        center = ic.center * (grid.dim // len(ic.center))
-        coords = grid.coordinate_fields()
-        r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
-        u0 = ScalarField(grid, ic.baseline + ic.amplitude * np.exp(-r2 / (2.0 * ic.width ** 2)))
-    else:
-        key = ic.seed if ic.seed is not None else default_seed
-        gen = np.random.Generator(np.random.Philox(key=key))
-        u0 = ScalarField(grid, ic.baseline + ic.amplitude * gen.uniform(0.0, 1.0, grid.shape))
+    # an overflow is reported once, by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ic.kind == "constant":
+            u0 = ScalarField.full(grid, ic.value)
+        elif ic.kind == "gaussian":
+            if len(ic.center) not in (1, grid.dim):
+                raise ConfigError(f"ic.center needs 1 or grid.dim={grid.dim} values")
+            center = ic.center * (grid.dim // len(ic.center))
+            coords = grid.coordinate_fields()
+            r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
+            u0 = ScalarField(grid, ic.baseline + ic.amplitude * np.exp(-r2 / (2.0 * ic.width ** 2)))
+        else:
+            key = ic.seed if ic.seed is not None else default_seed
+            gen = np.random.Generator(np.random.Philox(key=key))
+            u0 = ScalarField(grid, ic.baseline + ic.amplitude * gen.uniform(0.0, 1.0, grid.shape))
     if not np.isfinite(u0.values).all():
         raise ConfigError("initial condition must be finite; its parameters overflow")
     if u0.min() < 0.0:

@@ -208,7 +208,8 @@ def write_snapshot(f: ScalarField, t: float, path) -> None:
     head = [str(grid.dim)] + [str(n) for n in grid.cells]
     head += [f"{e:.17g}" for e in grid.extents] + [f"{t:.17g}"]
     lines = [" ".join(head)]
-    lines += [f"{v:.17g}" for v in f.values.ravel()]
+    # Python floats format faster than numpy scalars, to the same text
+    lines += [f"{v:.17g}" for v in f.values.ravel().tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

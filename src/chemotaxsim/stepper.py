@@ -137,11 +137,11 @@ DEFAULT_STEPPER = StepperConfig()
 @dataclass(frozen=True, eq=False)
 class _FixedPoint:
     """An accepted uncapped step that returned its input (u, v) bitwise:
-    copies of those bits, the configs it ran with, its guard dt (before any
+    those bits as bytes, the configs it ran with, its guard dt (before any
     positivity halving) and the dt it accepted."""
 
-    u_bits: np.ndarray
-    v_bits: np.ndarray
+    u_bits: bytes
+    v_bits: bytes
     grid: Grid
     params: ModelParams
     cfg: StepperConfig
@@ -156,13 +156,13 @@ class _FixedPoint:
         return (params is self.params and cfg is self.cfg
                 and elliptic_cfg is self.elliptic_cfg and state.u.grid is self.grid
                 and dt_cap >= self.guard_dt
-                and _same_bits(state.u.values, self.u_bits)
-                and _same_bits(state.v.values, self.v_bits))
+                and state.u.values.tobytes() == self.u_bits
+                and state.v.values.tobytes() == self.v_bits)
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
-    # bit patterns, not values: -0.0 and 0.0 differ
-    return np.array_equal(x.view(np.int64), y.view(np.int64))
+    # bit patterns, not values: -0.0 and 0.0 differ, and so do NaN payloads
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 @dataclass
@@ -199,12 +199,22 @@ def _require_floor(min_v: float, v_floor: float) -> None:
             f"chemical field at {min_v:.3e} dropped below floor {v_floor:.3e}", min_v=min_v)
 
 
+def _require_ceiling(max_u: float, u_ceiling: float) -> None:
+    """Raise FieldOverflowError when a density's maximum is above u_ceiling or not finite."""
+    if not math.isfinite(max_u) or max_u > u_ceiling:
+        raise FieldOverflowError(
+            f"max u = {max_u:.3e} exceeded ceiling {u_ceiling:.3e}", max_u=max_u)
+
+
 def initial_state(u0: ScalarField, params: ModelParams,
                   elliptic_cfg: EllipticConfig = DEFAULT_ELLIPTIC,
                   cfg: StepperConfig = DEFAULT_STEPPER) -> SimState:
-    """The pair (u0, V(u0)) at t=0; raises when V(u0) is below the floor."""
+    """The pair (u0, V(u0)) at t=0; raises when u0 is above the ceiling or
+    V(u0) below the floor.  The solve comes first, so a u0 whose solve fails
+    is a solver failure whatever its maximum."""
     v0 = solve_chemical(u0, params.mu, params.nu, elliptic_cfg)
     state = SimState(t=0.0, step=0, u=u0.copy(), v=v0)
+    _require_ceiling(state.u_max, cfg.u_ceiling)
     _require_floor(state.v_min, cfg.v_floor)
     return state
 
@@ -329,10 +339,7 @@ def advance(state: SimState, params: ModelParams,
             f"positivity not restored after {MAX_HALVINGS} halvings")
 
     u_peak = float(u_new.max())
-    if not math.isfinite(u_peak) or u_peak > cfg.u_ceiling:
-        raise FieldOverflowError(
-            f"max u = {u_peak:.3e} exceeded ceiling {cfg.u_ceiling:.3e}", max_u=u_peak)
-
+    _require_ceiling(u_peak, cfg.u_ceiling)
     u_field = ScalarField(grid, u_new)
     v_new = solve_chemical(u_field, params.mu, params.nu, elliptic_cfg)
     v_min = v_new.min()
@@ -341,7 +348,7 @@ def advance(state: SimState, params: ModelParams,
     if (u_peak == state.u_max and guard_dt <= dt_cap
             and params.coeff_a.omega == params.coeff_b.omega == 0.0
             and _same_bits(u_new, u_old) and _same_bits(v_new.values, state.v.values)):
-        state._fixed_point = _FixedPoint(u_old.copy(), state.v.values.copy(), grid,
+        state._fixed_point = _FixedPoint(u_old.tobytes(), state.v.values.tobytes(), grid,
                                          params, cfg, elliptic_cfg, guard_dt, dt)
     state.u = u_field
     state.v = v_new

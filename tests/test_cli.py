@@ -89,6 +89,35 @@ def test_run_subcommand_chemical_underflow_at_t0_is_a_v_floor_trigger(cfg_path, 
     assert (out / "diagnostics.csv").read_text().count("\n") == 1  # the header only
 
 
+def test_run_subcommand_density_above_ceiling_at_t0_is_a_u_ceiling_trigger(cfg_path, tmp_path,
+                                                                           capsys):
+    # u0 = 1 is above the ceiling, so the initial pair is rejected before any row
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", str(cfg_path), "stepper.u_ceiling=0.5", "--outdir", str(out)])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert (payload["trigger"], payload["steps"]) == ("u_ceiling", 0)
+    assert (payload["peak_max_u"], payload["min_min_v"]) == (1.0, "inf")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"] == "max u = 1.000e+00 exceeded ceiling 5.000e-01"
+    assert (out / "diagnostics.csv").read_text().count("\n") == 1  # the header only
+
+
+def test_run_subcommand_overflowing_ic_is_reported_once(cfg_path, tmp_path, capsys):
+    # the config error is the only report: no numpy overflow warning before it
+    for kind in ("gaussian", "random"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(cfg_path), "grid.cells=16", f"ic.kind={kind}",
+                         "ic.baseline=1e308", "ic.amplitude=1e308",
+                         "--outdir", str(tmp_path / "out")])
+        assert code == 2, kind
+        assert capsys.readouterr().err == (
+            "config error: initial condition must be finite; its parameters overflow\n"), kind
+
+
 def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model.unknown=1\n")

@@ -558,3 +558,9 @@ def test_no_replay_when_an_input_differs(monkeypatch):
     # sign of zero is checked on the comparison the replay test uses
     assert not stepper._same_bits(np.array([1.0, 0.0]), np.array([1.0, -0.0]))
     assert stepper._same_bits(np.array([1.0, -0.0]), np.array([1.0, -0.0]))
+    # equal bytes in another shape, and NaNs told apart by their payload
+    assert not stepper._same_bits(np.ones((2, 2)), np.ones(4))
+    nan_a, nan_b, nan_a2 = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                                     0x7FF8000000000000]).view(np.float64)
+    assert not stepper._same_bits(np.array([nan_a]), np.array([nan_b]))
+    assert stepper._same_bits(np.array([nan_a]), np.array([nan_a2]))

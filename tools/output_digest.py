@@ -54,6 +54,10 @@ CASES = {
     "run_two_records": RUN + ["run.t_end=0.01", "run.diagnostics_every=0.01"],
     "run_growing": RUN + ["grid.cells=8", "model.chi=0", "model.a=2", "ic.kind=constant",
                           "ic.value=1e-3", "run.t_end=4", "run.diagnostics_every=0.1"],
+    # settles on u = a/b bit for bit, so most late steps are replays
+    "run_fixed_point_replay": RUN + ["grid.cells=8", "model.chi=2", "model.a=2", "ic.width=0.25",
+                                     "ic.amplitude=0.5", "ic.baseline=0.5", "run.t_end=20",
+                                     "run.diagnostics_every=1"],
     "trigger_u_ceiling": RUN + ["stepper.u_ceiling=0.5"],
     "trigger_v_floor_mid_run": RUN + ["stepper.v_floor=0.25", "model.chi=3", "model.a=0.1",
                                       "ic.baseline=0.05", "run.t_end=2"],
