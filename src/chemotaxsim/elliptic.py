@@ -5,15 +5,15 @@ positive definite for any mu > 0 (no null space, unlike a pure Neumann
 Poisson problem).  Both solves are direct.  Lines of three or more cells go
 through a cached tridiagonal LU factorization.  On every other grid, in any
 dimension, the mirror-ghost closure makes the operator exactly diagonal in
-the cosine basis: mirroring the source along every axis turns it into a
-periodic problem on the doubled grid, which one real FFT pair solves.
+the grid's own cosine (DCT-II) basis: one matmul per axis takes the source
+there, a division by the eigenvalues solves, and the transposes come back.
 Either way one residual check accepts the result.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.linalg import lapack
@@ -56,35 +56,29 @@ def _tridiag_factors(grid: Grid, mu: float):
     return dl, d, du, du2, ipiv
 
 
-def _solve_direct_1d(grid: Grid, mu: float, b: np.ndarray) -> np.ndarray:
-    x, info = lapack.dgttrs(*_tridiag_factors(grid, mu), b)
-    if info != 0:
-        raise SolverFailureError(f"tridiagonal back-substitution failed (info={info})")
-    return x
+def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of -Lap_h in DCT-II layout: sum_ax (2 - 2cos(pi*k_ax/n_ax))/h_ax^2
+    at index k, on the mode prod_ax cos(pi*k_ax*(j_ax + 1/2)/n_ax)."""
+    return reduce(np.add.outer, [(2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h ** 2
+                                 for n, h in zip(grid.cells, grid.spacing)])
 
 
 @lru_cache(maxsize=32)
-def _mirror_eigenvalues(grid: Grid, mu: float) -> np.ndarray:
-    """Eigenvalues mu + sum_ax (2 - 2cos(pi*k/n_ax))/h_ax^2 of the operator on
-    the mirror-extended grid, laid out like ``numpy.fft.rfftn`` output: 2*n
-    frequencies on every axis but the last, which keeps n+1."""
-    lam = mu
-    for ax, (n, h) in enumerate(zip(grid.cells, grid.spacing)):
-        k = np.arange(n + 1 if ax == grid.dim - 1 else 2 * n)
-        shape = [1] * grid.dim
-        shape[ax] = k.size
-        lam = lam + ((2.0 - 2.0 * np.cos(np.pi * k / n)) / h ** 2).reshape(shape)
-    return lam
+def _cosine_basis(grid: Grid, mu: float):
+    """Per axis the orthonormal DCT-II matrix Q[k, j] = s_k cos(pi*k*(j + 1/2)/n), with
+    s_0 = sqrt(1/n), else sqrt(2/n); and the eigenvalues mu + laplacian_eigenvalues."""
+    ks = [np.arange(n) for n in grid.cells]  # the phase k*(2j + 1) is taken mod 4n exactly
+    mats = [np.sqrt((2.0 - (k == 0)) / k.size)[:, None]
+            * np.cos(np.pi / (2 * k.size) * (np.outer(k, 2 * k + 1) % (4 * k.size))) for k in ks]
+    return mats, mu + laplacian_eigenvalues(grid)
 
 
-def _solve_fft(grid: Grid, mu: float, b: np.ndarray) -> np.ndarray:
-    """Even extension about every boundary face, one periodic solve, crop."""
-    ext = b
-    for ax in range(grid.dim):
-        ext = np.concatenate((ext, np.flip(ext, ax)), axis=ax)
-    vhat = np.fft.rfftn(ext) / _mirror_eigenvalues(grid, mu)
-    v = np.fft.irfftn(vhat, s=ext.shape, axes=tuple(range(grid.dim)))
-    return np.ascontiguousarray(v[tuple(slice(n) for n in grid.cells)])
+def _along_axes(x: np.ndarray, mats) -> np.ndarray:
+    """x with mats[ax] applied along every axis ax, one matmul per axis."""
+    shape = x.shape
+    for ax, q in enumerate(mats[:-1]):
+        x = q @ x.reshape(math.prod(shape[:ax]), shape[ax], -1)
+    return (x.reshape(-1, shape[-1]) @ mats[-1].T).reshape(shape)
 
 
 def _norm2(x: np.ndarray) -> float:
@@ -126,7 +120,7 @@ def solve_chemical(u: ScalarField, mu: float, nu: float,
 
     For nonnegative u with positive mass the discrete maximum principle of
     the M-matrix operator makes the exact discrete v strictly positive.  The
-    FFT solve keeps that only up to roundoff of order eps*max(v), so
+    cosine-basis solve keeps that only up to roundoff of order eps*max(v), so
     where v is that small it can come out at or below zero; the stepper's
     v_floor check catches it.  The sign of u is the caller's obligation;
     manufactured-solution tests legitimately pass sign-changing u.
@@ -141,7 +135,12 @@ def solve_chemical(u: ScalarField, mu: float, nu: float,
     require_finite(u, "chemical source")
     grid = u.grid
     b = nu * u.values
-    lu = grid.dim == 1 and grid.num_cells > 2
-    v = _solve_direct_1d(grid, mu, b) if lu else _solve_fft(grid, mu, b)
+    if grid.dim == 1 and grid.num_cells > 2:
+        v, info = lapack.dgttrs(*_tridiag_factors(grid, mu), b)
+        if info != 0:
+            raise SolverFailureError(f"tridiagonal back-substitution failed (info={info})")
+    else:  # into the cosine basis, divide by the eigenvalues, back
+        mats, lam = _cosine_basis(grid, mu)
+        v = _along_axes(_along_axes(b, mats) / lam, [q.T for q in mats])
     _check_residual(grid, mu, b, v, cfg.rel_tolerance)
     return ScalarField(grid, v)

@@ -28,7 +28,7 @@ def test_manufactured_solution_second_order_1d():
 
 
 def test_manufactured_solution_second_order_2d():
-    # and in 3D, where the same FFT solve runs with no code of its own
+    # and in 3D, where the same cosine-basis solve runs with no code of its own
     for dim, n in ((2, 48), (3, 16)):
         ratio = mms_error(n, dim) / mms_error(2 * n, dim)
         assert 3.4 <= ratio <= 4.6
@@ -43,9 +43,9 @@ def test_mean_identity_random_sources(dim):
 
 
 def test_positivity_for_spiky_source():
-    # the FFT solve has no discrete maximum principle of its own; a corner
-    # spike with strong screening puts min v (about 1e-6 at the far corner
-    # in 2D, 4e-7 in 3D) closest to roundoff
+    # the cosine-basis solve has no discrete maximum principle of its own; a
+    # corner spike with strong screening puts min v (about 1e-6 at the far
+    # corner in 2D, 4e-7 in 3D) closest to roundoff
     for grid, spike in ((Grid.line(1.0, 128), (5,)), (Grid.box(1.0, 1.0, 64, 64), (0, 0)),
                         (Grid((1.0,) * 3, (16,) * 3), (0, 0, 0))):
         vals = np.zeros(grid.shape)
@@ -159,6 +159,30 @@ def test_solve_matches_dense_solve(grid):
     expected = np.linalg.solve(dense, 2.0 * u.values.ravel()).reshape(grid.shape)
     v = solve_chemical(u, mu, 2.0).values
     assert np.abs(v - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("grid", [Grid.line(1.0, 2), Grid((1.5, 1.0, 0.7), (3, 4, 5))],
+                         ids=["line2", "box3x4x5"])
+def test_cosine_modes_are_eigenpairs_of_the_operator(grid):
+    # the solve's cached DCT-II matrices are orthonormal (on a 256-cell line
+    # too, where cosine phases taken without reduction lose digits), and
+    # every separable mode prod_ax cos(pi*k_ax*(j_ax + 1/2)/n_ax), written
+    # out here, is an eigenvector of apply_operator with the value
+    # mu + laplacian_eigenvalues(grid)
+    from chemotaxsim.elliptic import _cosine_basis, laplacian_eigenvalues
+    mu = 1.3
+    mats, shifted = _cosine_basis(grid, mu)
+    for q in mats + _cosine_basis(Grid.line(1.0, 256), mu)[0]:
+        assert np.abs(q @ q.T - np.eye(len(q))).max() <= 1e-14
+    lam = laplacian_eigenvalues(grid)
+    assert lam.shape == grid.shape and np.array_equal(shifted, mu + lam)
+    a_norm = mu + sum(4.0 / h ** 2 for h in grid.spacing)
+    for k in np.ndindex(grid.shape):
+        mode = np.ones(())
+        for kk, n in zip(k, grid.cells):
+            mode = np.multiply.outer(mode, np.cos(np.pi * kk * (np.arange(n) + 0.5) / n))
+        defect = apply_operator(grid, mu, mode) - (mu + lam[k]) * mode
+        assert np.abs(defect).max() <= 1e-14 * a_norm * np.abs(mode).max()
 
 
 def test_operator_matches_dense_matrix_1d():

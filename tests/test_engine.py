@@ -331,7 +331,7 @@ print(sorted(m for m in sys.modules if m == "scipy.fft" or m.startswith("scipy.f
 
 
 def test_runs_do_not_import_scipy_fft():
-    # numpy.fft does the 2D solve and is loaded anyway; scipy.fft would add
+    # the 2D solve needs only numpy matmuls; scipy.fft would add
     # start-up time and resident memory to every run and sweep worker
     src = str(Path(engine.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -435,6 +435,20 @@ def test_sweep_deterministic_across_workers_and_order(tmp_path):
         d2 = (tmp_path / "b" / "cells" / cell / "diagnostics.csv").read_bytes()
         d3 = (tmp_path / "c" / "cells" / cell / "diagnostics.csv").read_bytes()
         assert d1 == d2 == d3
+
+
+def test_2d_sweep_deterministic_across_workers(tmp_path):
+    # the 2D chemical solve runs through BLAS matmuls, which may use threads;
+    # the worker count must still not move a byte
+    template = replace(sweep_template(t_end=0.1), grid=Grid.box(1.0, 1.0, 8, 8))
+    axes = [("chi", [0.5, 2.0])]
+    r1 = sweep(template, axes, outdir=tmp_path / "a", workers=1)
+    r2 = sweep(template, axes, outdir=tmp_path / "b", workers=2)
+    assert Path(r1.csv_path).read_bytes() == Path(r2.csv_path).read_bytes()
+    for cell in ("c000", "c001"):
+        d1 = (tmp_path / "a" / "cells" / cell / "diagnostics.csv").read_bytes()
+        d2 = (tmp_path / "b" / "cells" / cell / "diagnostics.csv").read_bytes()
+        assert d1 == d2 and d1.count(b"\n") > 2
 
 
 def test_sweep_pool_is_capped_at_the_cell_count(tmp_path, monkeypatch):

@@ -51,6 +51,8 @@ CASES = {
     "run_3d_snapshots": RUN + ["grid.dim=3", "grid.cells=6", "run.t_end=0.02",
                                "run.diagnostics_every=0.01", "run.snapshot_every=0.01",
                                "diagnostics.grad_p=1.5"],
+    # two cells per axis: the smallest grid, and a 1D one that the spectral path solves
+    "run_line_2cells": RUN + ["grid.cells=2", "ic.center=0.3", "ic.baseline=0.2"],
     "run_two_records": RUN + ["run.t_end=0.01", "run.diagnostics_every=0.01"],
     "run_growing": RUN + ["grid.cells=8", "model.chi=0", "model.a=2", "ic.kind=constant",
                           "ic.value=1e-3", "run.t_end=4", "run.diagnostics_every=0.1"],
