@@ -58,7 +58,7 @@ def mass_identity_defect(grid: Grid, seed: int, data_range,
     b = params.coeff_b.evaluate(grid, 0.0)
     mass0 = integrate(state.u)
     reaction = float((state.u.values * (a - b * state.u.values)).sum() * grid.cell_volume)
-    advance(state, params)
+    advance(state)
     return abs(integrate(state.u) - mass0 - state.dt_last * reaction), mass0
 
 

@@ -292,6 +292,12 @@ def _monitored_neg_p(config: RunConfig, thr: ThresholdVerdict) -> tuple[float, .
     return tuple(neg)
 
 
+def _next_point(t: float, every: float) -> int:
+    """Index k of the first cadence point k*every past t; t counts as on a
+    point it lies within 1e-9 intervals below."""
+    return int(math.floor(t / every + 1e-9)) + 1
+
+
 def run(config: RunConfig, outdir=None) -> RunOutcome:
     """Advance from t=0 to t_end or to a failure trigger.
 
@@ -338,15 +344,14 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
             done = config.t_end - state.t <= eps_t
             if done or state.t + eps_t >= k_diag * cadence:
                 records.append(record_of(state))
-                k_diag = int(math.floor(state.t / cadence + 1e-9)) + 1
+                k_diag = _next_point(state.t, cadence)
             if snapdir is not None and state.t + eps_t >= k_snap * config.snapshot_every:
                 write_snapshot(state.u, state.t, snapdir / f"t{n_snap}.field")
                 n_snap += 1
-                k_snap = int(math.floor(state.t / config.snapshot_every + 1e-9)) + 1
+                k_snap = _next_point(state.t, config.snapshot_every)
             if done:
                 break
-            advance(state, params, config.stepper, config.elliptic,
-                    dt_cap=config.t_end - state.t)
+            advance(state, dt_cap=config.t_end - state.t)
         verdict = _classify(records)
     except tuple(TRIGGER_OF) as err:
         trigger, failure, verdict = TRIGGER_OF[type(err)], str(err), VERDICT_BLOWUP
@@ -470,8 +475,10 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
 
     Cells are independent: each gets its own config, output directory and
     Philox key derived from (template seed, cell index), so any execution
-    order and worker count produce identical rows.  Per-cell failures land
-    in the row's verdict; the sweep itself never aborts.
+    order and worker count produce identical rows.  An axis value outside
+    the model's range, or workers below 1, is a ConfigError before any cell
+    runs; per-cell failures land in the row's verdict, and the sweep itself
+    never aborts.
     """
     names = [k for k, _ in axes]
     for key in names:
@@ -479,15 +486,20 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
             raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {key!r}")
     if len(set(names)) < len(names):
         raise ConfigError(f"sweep axes must be distinct, got {names}")
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     out = Path(outdir) if outdir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
 
     combos = list(itertools.product(*[v for _, v in axes]))
     jobs = []
-    for i, combo in enumerate(combos):
-        cell_out = str(out / "cells" / f"c{i:03d}") if out is not None else None
-        jobs.append((i, _cell_config(template, list(zip(names, combo)), i, cell_out)))
+    try:
+        for i, combo in enumerate(combos):
+            cell_out = str(out / "cells" / f"c{i:03d}") if out is not None else None
+            jobs.append((i, _cell_config(template, list(zip(names, combo)), i, cell_out)))
+    except ParameterError as err:  # an axis value outside the model's range
+        raise ConfigError(str(err)) from err
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
 
     schedule = order if order is not None else list(range(len(jobs)))
     if sorted(schedule) != list(range(len(jobs))):

@@ -1,12 +1,15 @@
 """Explicit conservative step for the cell-density equation.
 
-The state keeps one invariant: ``state.v`` is V(state.u), the chemical
-field solved from the current density.  One step does, in order: build the
-singular drift velocity w = chi * grad(v)/v on faces from that v, propose a
-stable dt, apply a flux-form forward Euler update with central diffusion,
-donor-cell (upwind) advection and an explicit logistic reaction, then solve
-V of the new density, check it against the floor v_floor and only then store
-the new pair.  Flux form and zero Neumann boundary faces make the mass identity
+The state carries the model and configs that made it and keeps one
+invariant: ``state.v`` is V(state.u), the chemical field solved from the
+current density under the state's own mu, nu and elliptic config, so
+:func:`advance` takes no model of its own.  One step does, in order: build
+the singular drift velocity w = chi * grad(v)/v on faces from that v,
+propose a stable dt, apply a flux-form forward Euler update with central
+diffusion, donor-cell (upwind) advection and an explicit logistic reaction,
+then solve V of the new density, check it against the floor v_floor and
+only then store the new pair.  Flux form and zero Neumann boundary faces
+make the mass identity
 
     int u_new = int u_old + dt * int u_old*(a - b*u_old)
 
@@ -15,8 +18,8 @@ hold to roundoff, which is the backbone of the mass-bound monitors.
 A step is a deterministic function of its inputs, so once an uncapped step
 with time-independent coefficients leaves (u, v) bitwise unchanged (a
 discrete steady state such as u = a/b), :func:`advance` replays it while
-exactly those inputs come back, instead of recomputing a result that every
-guard and check already accepted.
+the state's u and v keep those bits, instead of recomputing a result that
+every guard and check already accepted.
 """
 from __future__ import annotations
 
@@ -134,62 +137,9 @@ class StepperConfig:
 DEFAULT_STEPPER = StepperConfig()
 
 
-@dataclass(frozen=True, eq=False)
-class _FixedPoint:
-    """An accepted uncapped step that returned its input (u, v) bitwise:
-    those bits as bytes, the configs it ran with, its guard dt (before any
-    positivity halving) and the dt it accepted."""
-
-    u_bits: bytes
-    v_bits: bytes
-    grid: Grid
-    params: ModelParams
-    cfg: StepperConfig
-    elliptic_cfg: EllipticConfig
-    guard_dt: float
-    dt: float
-
-    def repeats(self, state: "SimState", params: ModelParams, cfg: StepperConfig,
-                elliptic_cfg: EllipticConfig, dt_cap: float) -> bool:
-        """Whether a step of ``state`` with these arguments has exactly the
-        recorded step's inputs, so it would return the same result."""
-        return (params is self.params and cfg is self.cfg
-                and elliptic_cfg is self.elliptic_cfg and state.u.grid is self.grid
-                and dt_cap >= self.guard_dt
-                and state.u.values.tobytes() == self.u_bits
-                and state.v.values.tobytes() == self.v_bits)
-
-
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     # bit patterns, not values: -0.0 and 0.0 differ, and so do NaN payloads
     return x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
-@dataclass
-class SimState:
-    """Mutable simulation state; one owner per state, never shared.
-
-    Invariants: ``v`` is the chemical field solved from ``u``, v == V(u),
-    and ``u_max == u.max()``, ``v_min == v.min()``.  :func:`initial_state`
-    establishes them, :func:`advance` keeps them, and a hand-built state
-    gets its extrema from ``__post_init__``.  A caller that edits ``u`` or
-    ``v`` in place breaks them; build a new state instead.
-    """
-
-    t: float
-    step: int
-    u: ScalarField
-    v: ScalarField
-    dt_last: float = 0.0
-    u_max: float = field(init=False)
-    v_min: float = field(init=False)
-    # the last step, when it was a bitwise fixed point (see advance)
-    _fixed_point: _FixedPoint | None = field(default=None, init=False, repr=False,
-                                             compare=False)
-
-    def __post_init__(self):
-        self.u_max = self.u.max()
-        self.v_min = self.v.min()
 
 
 def _require_floor(min_v: float, v_floor: float) -> None:
@@ -206,6 +156,43 @@ def _require_ceiling(max_u: float, u_ceiling: float) -> None:
             f"max u = {max_u:.3e} exceeded ceiling {u_ceiling:.3e}", max_u=max_u)
 
 
+@dataclass
+class SimState:
+    """Mutable simulation state; one owner per state, never shared.
+
+    The state carries the model and configs that made it: ``v`` is the
+    chemical field solved from ``u`` under ``params.mu``, ``params.nu`` and
+    ``elliptic_cfg``, v == V(u), and :func:`advance` steps it under exactly
+    those and ``cfg``.  Further invariants: ``u_max == u.max()`` and
+    ``v_min == v.min()``, with u_max within ``cfg.u_ceiling`` and v_min at or
+    above ``cfg.v_floor``.  Construction computes the extrema and checks the
+    ceiling, then the floor; :func:`advance` keeps all of it.  A caller that
+    edits ``u``, ``v`` or a config in place breaks them, and a replayed step
+    does not see a reassigned config; build a new state instead.
+    """
+
+    t: float
+    step: int
+    u: ScalarField
+    v: ScalarField
+    params: ModelParams
+    cfg: StepperConfig = DEFAULT_STEPPER
+    elliptic_cfg: EllipticConfig = DEFAULT_ELLIPTIC
+    dt_last: float = 0.0
+    u_max: float = field(init=False)
+    v_min: float = field(init=False)
+    # the last step, when it was a bitwise fixed point (see advance): the
+    # bytes of u and v, their grid, its guard dt and the dt it accepted
+    _fixed_point: tuple[bytes, bytes, Grid, float, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.u_max = self.u.max()
+        self.v_min = self.v.min()
+        _require_ceiling(self.u_max, self.cfg.u_ceiling)
+        _require_floor(self.v_min, self.cfg.v_floor)
+
+
 def initial_state(u0: ScalarField, params: ModelParams,
                   elliptic_cfg: EllipticConfig = DEFAULT_ELLIPTIC,
                   cfg: StepperConfig = DEFAULT_STEPPER) -> SimState:
@@ -213,10 +200,7 @@ def initial_state(u0: ScalarField, params: ModelParams,
     V(u0) below the floor.  The solve comes first, so a u0 whose solve fails
     is a solver failure whatever its maximum."""
     v0 = solve_chemical(u0, params.mu, params.nu, elliptic_cfg)
-    state = SimState(t=0.0, step=0, u=u0.copy(), v=v0)
-    _require_ceiling(state.u_max, cfg.u_ceiling)
-    _require_floor(state.v_min, cfg.v_floor)
-    return state
+    return SimState(0.0, 0, u0.copy(), v0, params, cfg, elliptic_cfg)
 
 
 def _interior_drift(v: ScalarField, chi: float) -> list[np.ndarray]:
@@ -240,12 +224,12 @@ def chemotactic_velocity(v: ScalarField, chi: float,
     return _interior_drift(v, chi)
 
 
-def _drift_and_dt(state: SimState, params: ModelParams,
-                  cfg: StepperConfig) -> tuple[list[np.ndarray], float]:
+def _drift_and_dt(state: SimState) -> tuple[list[np.ndarray], float]:
     """Interior-face drift from state.v, and the stable dt sigma *
     min(diffusion, advection, reaction guards); zero-denominator guards are
     skipped.  Raises on collapse below dt_min or on state.v below the floor."""
-    _require_floor(state.v_min, cfg.v_floor)  # a hand-built state or a raised floor fails it
+    params, cfg = state.params, state.cfg
+    _require_floor(state.v_min, cfg.v_floor)  # guards the division if a caller edited the state
     w = _interior_drift(state.v, params.chi)
     grid = state.u.grid
     h_min = grid.min_spacing
@@ -274,11 +258,9 @@ def _explicit_rhs(u: ScalarField, w: list[np.ndarray],
     return divergence(grid, fluxes) + u.values * (a - b * u.values)
 
 
-def advance(state: SimState, params: ModelParams,
-            cfg: StepperConfig = DEFAULT_STEPPER,
-            elliptic_cfg: EllipticConfig = DEFAULT_ELLIPTIC,
-            dt_cap: float = math.inf) -> SimState:
-    """Advance the state by one accepted step (mutates and returns it).
+def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
+    """Advance the state by one accepted step under its own model and
+    configs (mutates and returns it).
 
     Keeps the state's invariants.  Order of operations: drift velocity
     from state.v, the guards' dt capped at dt_cap, the explicit update, then
@@ -298,24 +280,27 @@ def advance(state: SimState, params: ModelParams,
     Replay: when a full step was uncapped (its guard dt <= dt_cap), both
     coefficients have omega == 0, and u_new and V(u_new) equal u and v
     bitwise, the state records that step.  The next call replays it, doing
-    only ``t += dt``, ``step += 1`` and ``dt_last = dt``, if it gets the
-    same ``params``, ``cfg`` and ``elliptic_cfg`` objects and grid, a
-    dt_cap no smaller than the recorded guard dt, and u and v bitwise equal
-    to the recorded ones.  Those are all the step's inputs, so every guard and
+    only ``t += dt``, ``step += 1`` and ``dt_last = dt``, if the state's u
+    and v are still on the recorded grid and bitwise equal to the recorded
+    ones and dt_cap is no smaller than the recorded guard dt.  With the
+    state's own configs those are all the step's inputs, so every guard and
     check would repeat the recorded step's outcome.  Any other call drops
     the record and runs the full step.
     """
-    fixed = state._fixed_point
-    if fixed is not None:
-        if fixed.repeats(state, params, cfg, elliptic_cfg, dt_cap):
-            state.t += fixed.dt
+    if state._fixed_point is not None:
+        u_bits, v_bits, grid, guard_dt, dt = state._fixed_point
+        if (state.u.grid is grid and dt_cap >= guard_dt
+                and state.u.values.tobytes() == u_bits
+                and state.v.values.tobytes() == v_bits):
+            state.t += dt
             state.step += 1
-            state.dt_last = fixed.dt
+            state.dt_last = dt
             return state
         state._fixed_point = None
 
+    params, cfg = state.params, state.cfg
     grid = state.u.grid
-    w, guard_dt = _drift_and_dt(state, params, cfg)
+    w, guard_dt = _drift_and_dt(state)
     dt = min(guard_dt, dt_cap)
 
     u_old = state.u.values
@@ -341,15 +326,14 @@ def advance(state: SimState, params: ModelParams,
     u_peak = float(u_new.max())
     _require_ceiling(u_peak, cfg.u_ceiling)
     u_field = ScalarField(grid, u_new)
-    v_new = solve_chemical(u_field, params.mu, params.nu, elliptic_cfg)
+    v_new = solve_chemical(u_field, params.mu, params.nu, state.elliptic_cfg)
     v_min = v_new.min()
     _require_floor(v_min, cfg.v_floor)
     # the max test first: a step that moved u's max costs one comparison
     if (u_peak == state.u_max and guard_dt <= dt_cap
             and params.coeff_a.omega == params.coeff_b.omega == 0.0
             and _same_bits(u_new, u_old) and _same_bits(v_new.values, state.v.values)):
-        state._fixed_point = _FixedPoint(u_old.tobytes(), state.v.values.tobytes(), grid,
-                                         params, cfg, elliptic_cfg, guard_dt, dt)
+        state._fixed_point = (u_old.tobytes(), state.v.values.tobytes(), grid, guard_dt, dt)
     state.u = u_field
     state.v = v_new
     state.u_max = u_peak

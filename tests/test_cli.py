@@ -165,8 +165,17 @@ def test_sweep_subcommand(cfg_path, tmp_path, capsys):
     assert payload["cells"] == 2
     table = Path(payload["table"]).read_text().splitlines()
     assert len(table) == 3
-    for axis in ("nu=1,2", "chi=abc"):
-        assert main(["sweep", str(cfg_path), "--axis", axis, "--outdir", str(out)]) == 2, axis
+    # an unknown axis, a value that does not parse, values outside the
+    # model's range (config errors for a run too) and workers below 1 are
+    # config errors before any cell runs
+    bad = tmp_path / "bad"
+    for axis, workers in (("nu=1,2", "1"), ("chi=abc", "1"), ("mu=1,-1", "1"),
+                          ("a_scale=-1", "1"), ("chi=nan", "1"), ("chi=0.5", "0"),
+                          ("chi=0.5", "-2")):
+        assert main(["sweep", str(cfg_path), "--axis", axis, "--outdir", str(bad),
+                     "--workers", workers]) == 2, (axis, workers)
+        assert capsys.readouterr().err.startswith("config error: ")
+    assert not bad.exists()
     assert main(["sweep", str(cfg_path), "--axis", "chi=0.5", "--axis", "chi=3",
                  "--outdir", str(out)]) == 2
     assert "config error: sweep axes must be distinct" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,17 +105,17 @@ def test_velocity_degeneracy_detection():
 def test_propose_dt_diffusion_limited():
     grid = Grid.line(1.0, 128)
     params = constant_params(chi=0.0, a=1.0, b=1.0)
-    state = advance(initial_state(ScalarField.full(grid, 1.0), params), params)
+    state = advance(initial_state(ScalarField.full(grid, 1.0), params))
     assert state.dt_last == pytest.approx(0.4 / 32768.0, rel=1e-12)
 
 
 def test_propose_dt_reaction_limited_on_coarse_grid():
     grid = Grid.line(1.0, 2)
     params = constant_params(chi=0.0, a=1.0, b=1.0)
-    state = advance(initial_state(ScalarField.full(grid, 1.0), params), params)
+    state = advance(initial_state(ScalarField.full(grid, 1.0), params))
     # h^2/2 = 1/8 > 1/3 reaction guard? no: 1/(1+2) = 1/3 > 1/8, diffusion binds.
     assert state.dt_last == pytest.approx(0.4 * 0.125)
-    big = advance(initial_state(ScalarField.full(grid, 100.0), params), params)
+    big = advance(initial_state(ScalarField.full(grid, 100.0), params))
     # reaction guard 1/(1+200) now binds
     assert big.dt_last == pytest.approx(0.4 / 201.0)
 
@@ -128,7 +129,7 @@ def test_propose_dt_advection_guard_dominates_for_huge_velocity():
     w_max = np.abs(w).max()
     h = grid.spacing[0]
     assert h / w_max < h * h / 2.0
-    advance(state, params)
+    advance(state)
     assert state.dt_last == pytest.approx(0.4 * h / w_max, rel=1e-12)
 
 
@@ -142,7 +143,7 @@ def test_propose_dt_is_the_next_uncapped_step_and_v_tracks_u():
         # the advection guard binds at each of these steps
         (w,) = chemotactic_velocity(state.v, params.chi)
         dt = 0.4 * h / float(np.abs(w).max())
-        advance(state, params)
+        advance(state)
         assert state.dt_last == pytest.approx(dt, rel=1e-12)
         assert np.array_equal(state.v.values,
                               solve_chemical(state.u, params.mu, params.nu).values)
@@ -151,9 +152,9 @@ def test_propose_dt_is_the_next_uncapped_step_and_v_tracks_u():
 def test_timestep_collapse_error():
     grid = Grid.line(1.0, 64)
     params = constant_params()
-    state = initial_state(ScalarField.full(grid, 1.0), params)
+    state = initial_state(ScalarField.full(grid, 1.0), params, cfg=StepperConfig(dt_min=1.0))
     with pytest.raises(TimestepCollapseError):
-        advance(state, params, StepperConfig(dt_min=1.0))
+        advance(state)
     assert (state.t, state.step, state.dt_last) == (0.0, 0, 0.0)
 
 
@@ -164,7 +165,7 @@ def test_homogeneous_steady_state_is_preserved():
     params = constant_params(chi=1.0, a=1.0, b=1.0)
     state = initial_state(ScalarField.full(grid, 1.0), params)
     while state.t < 1.0:
-        advance(state, params, dt_cap=1.0 - state.t)
+        advance(state, dt_cap=1.0 - state.t)
     assert abs(state.u.max() - 1.0) <= 1e-9
     assert abs(state.u.min() - 1.0) <= 1e-9
     assert np.allclose(state.v.values, 1.0, atol=1e-9)
@@ -192,7 +193,7 @@ def test_pure_transport_conserves_mass():
     state = initial_state(u0, params)
     mass0 = integrate(state.u)
     for _ in range(500):
-        advance(state, params)
+        advance(state)
     assert integrate(state.u) == pytest.approx(mass0, rel=1e-13)
     assert state.u.min() >= 0.0
 
@@ -205,7 +206,7 @@ def test_pure_transport_conserves_mass_2d():
     state = initial_state(u0, params)
     mass0 = integrate(state.u)
     for _ in range(200):
-        advance(state, params)
+        advance(state)
         assert np.array_equal(state.v.values,
                               solve_chemical(state.u, params.mu, params.nu).values)
     assert integrate(state.u) == pytest.approx(mass0, rel=1e-13)
@@ -220,7 +221,7 @@ def test_heat_stencil_max_principle():
     state = initial_state(u0, params)
     peak = state.u.max()
     for _ in range(300):
-        advance(state, params)
+        advance(state)
         new_peak = state.u.max()
         assert new_peak <= peak + 1e-13
         peak = new_peak
@@ -238,7 +239,7 @@ def test_mass_stays_below_ceiling_with_time_dependent_coefficients():
     state = initial_state(u0, params)
     ceiling = max(integrate(u0), params.coeff_a.sup / params.coeff_b.inf * grid.measure)
     while state.t < 3.0:
-        advance(state, params, dt_cap=3.0 - state.t)
+        advance(state, dt_cap=3.0 - state.t)
         assert integrate(state.u) <= ceiling * (1.0 + 1e-8)
         assert state.u.min() >= 0.0
 
@@ -275,7 +276,7 @@ def test_chemotactic_aggregation_grows_unstable_mode():
     def amplitude_after(params, steps=2000):
         state = initial_state(u0, params)
         for _ in range(steps):
-            advance(state, params)
+            advance(state)
         return (state.u.max() - state.u.min()) / 2.0
 
     amp0 = 0.1
@@ -290,24 +291,40 @@ def test_advance_2d_smoke_with_chemotaxis():
         grid, lambda x, y: 0.2 + np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.02))
     state = initial_state(u0, params)
     for _ in range(50):
-        advance(state, params)
+        advance(state)
     assert state.u.min() >= 0.0
     assert state.v.min() > 0.0
     assert state.t > 0.0
 
 
 def test_overflow_and_degeneracy_outcomes_are_distinct():
+    # u = 0.5 grows under a = b = 1 and falls under a = 0, b = 1; the
+    # ceiling sits at u0 and the floor just below V(u0) = 0.5, so the state
+    # starts within both and the first step crosses one
     grid = Grid.line(1.0, 32)
+    u0 = ScalarField.full(grid, 0.5)
+    for params, cfg, error in (
+            (constant_params(), StepperConfig(u_ceiling=0.5), FieldOverflowError),
+            (constant_params(a=0.0), StepperConfig(v_floor=0.49999), DegeneracyError),
+            (constant_params(), StepperConfig(dt_min=1.0), TimestepCollapseError)):
+        state = initial_state(u0, params, cfg=cfg)
+        with pytest.raises(error):
+            advance(state)
+
+
+def test_a_state_is_checked_where_it_is_made():
+    # the ceiling first, then the floor, as initial_state checks them
+    grid = Grid.line(1.0, 16)
     params = constant_params()
-    state = initial_state(ScalarField.full(grid, 1.0), params)
+    u, v = ScalarField.full(grid, 2.0), ScalarField.full(grid, 1e-3)
     with pytest.raises(FieldOverflowError):
-        advance(state, params, StepperConfig(u_ceiling=0.5))
-    state2 = initial_state(ScalarField.full(grid, 1.0), params)
+        SimState(0.0, 0, u, v, params, StepperConfig(u_ceiling=1.0, v_floor=1.0))
     with pytest.raises(DegeneracyError):
-        advance(state2, params, StepperConfig(v_floor=1e3))
-    state3 = initial_state(ScalarField.full(grid, 1.0), params)
-    with pytest.raises(TimestepCollapseError):
-        advance(state3, params, StepperConfig(dt_min=1.0))
+        SimState(0.0, 0, u, v, params, StepperConfig(v_floor=1e-2))
+    with pytest.raises(DegeneracyError):
+        SimState(0.0, 0, u, ScalarField.full(grid, 0.0), params)
+    state = SimState(0.0, 0, u, v, params, StepperConfig(v_floor=1e-3))
+    assert (state.u_max, state.v_min) == (2.0, 1e-3)
 
 
 def test_floor_is_checked_where_each_pair_is_made():
@@ -321,10 +338,15 @@ def test_floor_is_checked_where_each_pair_is_made():
     state = initial_state(ScalarField.full(grid, 1.0), params, cfg=cfg)
     u, v = state.u, state.v
     with pytest.raises(DegeneracyError) as err:
-        advance(state, params, cfg)
+        advance(state)
     assert err.value.min_v < cfg.v_floor <= state.v_min
     assert state.u is u and state.v is v
     assert (state.t, state.step, state.dt_last) == (0.0, 0, 0.0)
+    # and the step's input: a floor raised after the state was built fails
+    # before the drift divides by v
+    state.cfg = StepperConfig(v_floor=2.0)
+    with pytest.raises(DegeneracyError, match=r"chemical field at 1.000e\+00"):
+        advance(state)
 
 
 def test_accepted_steps_are_nonnegative_with_sharp_profile():
@@ -334,7 +356,7 @@ def test_accepted_steps_are_nonnegative_with_sharp_profile():
         grid, lambda x: 1e-6 + np.exp(-((x - 0.3) ** 2) / 0.001))
     state = initial_state(u0, params)
     for _ in range(400):
-        advance(state, params)
+        advance(state)
         assert state.u.min() >= 0.0
 
 
@@ -354,7 +376,7 @@ def test_failed_solve_leaves_state_unchanged(monkeypatch):
     u, v = state.u, state.v
     u_values, v_values = u.values.copy(), v.values.copy()
     with pytest.raises(SolverFailureError):
-        advance(state, params)
+        advance(state)
     assert len(calls) == 2
     assert not np.array_equal(calls[1].values, u_values)  # the post-update solve
     assert state.u is u and np.array_equal(state.u.values, u_values)
@@ -385,7 +407,7 @@ def test_accepted_step_checks_finiteness_once_and_solves_once(grid, monkeypatch)
                          (stepper, "solve_chemical"), (elliptic, "_check_residual"),
                          (mesh, "face_gradient"), (stepper, "face_gradient")):
         count(module, name)
-    advance(state, params)
+    advance(state)
     assert state.step == 1
     assert calls == {"require_finite": 1, "solve_chemical": 1, "_check_residual": 1}
 
@@ -439,7 +461,7 @@ def test_cosine_mode_grows_by_the_discrete_dispersion_relation(grid, mode, chi, 
     sigma = sigma_h(neumann_eigenvalue(grid, mode), chi, mu, a)
     predicted = 0.0
     for _ in range(200):
-        advance(state, params)
+        advance(state)
         predicted += math.log1p(state.dt_last * sigma)
     measured = math.log(amplitude(state.u) / amp0)
     assert abs(measured - predicted) <= 2e-6 * abs(predicted)
@@ -465,8 +487,8 @@ def test_boundedness_threshold_lies_inside_the_linear_stability_region():
 # --- fixed-point replay --------------------------------------------------------
 
 def fresh_copy(state):
-    # a hand-built state holds no fixed-point record, so its step runs in full
-    return SimState(state.t, state.step, state.u.copy(), state.v.copy(), state.dt_last)
+    # a newly built state holds no fixed-point record, so its step runs in full
+    return replace(state, u=state.u.copy(), v=state.v.copy())
 
 
 def assert_same_state(got, want):
@@ -503,9 +525,9 @@ def test_replay_equals_full_steps(grid, monkeypatch):
     replays = 0
     for _ in range(5):
         start = fresh_copy(state)
-        want = advance(fresh_copy(state), params)
+        want = advance(fresh_copy(state))
         before = len(calls)
-        advance(state, params)
+        advance(state)
         assert_same_state(state, want)
         # a step after one that returned its input bitwise is replayed
         assert len(calls) - before == (0 if unchanged else 1)
@@ -515,16 +537,38 @@ def test_replay_equals_full_steps(grid, monkeypatch):
     assert replays >= 3
 
 
+@pytest.mark.parametrize("grid", [Grid.line(1.0, 8), Grid.box(1.5, 1.0, 8, 6)],
+                         ids=["1d", "2d"])
+def test_v_is_the_states_own_solve_after_every_step(grid, monkeypatch):
+    # mu, nu and the elliptic config come from the state: every full step
+    # solves with them, and a replayed step keeps the v they solved
+    params = constant_params(chi=2.0, mu=2.0, nu=3.0, a=2.0, b=1.0)
+    cfg = elliptic.EllipticConfig(rel_tolerance=1e-8)
+    state = initial_state(ScalarField.full(grid, 2.0), params, cfg)
+    calls = []
+
+    def solve(u, mu, nu, elliptic_cfg):
+        calls.append((mu, nu, elliptic_cfg))
+        return solve_chemical(u, mu, nu, elliptic_cfg)
+    monkeypatch.setattr(stepper, "solve_chemical", solve)
+    for _ in range(6):
+        advance(state)
+        want = solve_chemical(state.u, 2.0, 3.0, cfg)
+        assert np.array_equal(state.v.values.view(np.int64), want.values.view(np.int64))
+    assert calls and all(args == (2.0, 3.0, cfg) for args in calls)
+    assert len(calls) < 6  # the later steps were replays
+
+
 def test_no_replay_when_an_input_differs(monkeypatch):
     grid = Grid.line(1.0, 8)
     params = constant_params(chi=2.0, a=2.0, b=1.0)
     calls = count_solves(monkeypatch)
 
-    def solves(state, *args, **kwargs):
+    def solves(state, dt_cap=math.inf):
         """Elliptic solves of one step, which must match a full step."""
-        want = advance(fresh_copy(state), *args, **kwargs)
+        want = advance(fresh_copy(state), dt_cap)
         before = len(calls)
-        advance(state, *args, **kwargs)
+        advance(state, dt_cap)
         assert_same_state(state, want)
         return len(calls) - before
 
@@ -532,28 +576,23 @@ def test_no_replay_when_an_input_differs(monkeypatch):
     timed = ModelParams(2.0, 1.0, 1.0, CoefficientSpec(2.0, omega=1.0),
                         CoefficientSpec.constant(1.0))
     state = steady_state(grid, timed)
-    assert [solves(state, timed) for _ in range(4)] == [1, 1, 1, 1]
+    assert [solves(state) for _ in range(4)] == [1, 1, 1, 1]
 
     state = steady_state(grid, params)
-    assert [solves(state, params) for _ in range(3)] == [1, 1, 0]
-    # configs equal to the recorded ones but other objects; each full step
-    # records its own, so the next step with the originals runs in full too
-    for args in ((constant_params(chi=2.0, a=2.0, b=1.0),), (params, StepperConfig()),
-                 (params, stepper.DEFAULT_STEPPER, elliptic.EllipticConfig())):
-        assert [solves(state, *args), solves(state, params), solves(state, params)] == [1, 1, 0]
-    assert solves(state, params, dt_cap=0.5 * state.dt_last) == 1  # below the guard dt
-    assert [solves(state, params) for _ in range(2)] == [1, 0]  # a capped step is not recorded
+    assert [solves(state) for _ in range(3)] == [1, 1, 0]
+    assert solves(state, dt_cap=0.5 * state.dt_last) == 1  # below the guard dt
+    assert [solves(state) for _ in range(2)] == [1, 0]  # a capped step is not recorded
     # the same bits on another grid
     other = Grid.line(2.0, 8)
     state.u, state.v = ScalarField(other, state.u.values), ScalarField(other, state.v.values)
-    assert [solves(state, params) for _ in range(2)] == [1, 1]
+    assert [solves(state) for _ in range(2)] == [1, 1]
     state = steady_state(grid, params)
-    assert [solves(state, params) for _ in range(3)] == [1, 1, 0]
+    assert [solves(state) for _ in range(3)] == [1, 1, 0]
     # an in-place edit; the nudge relaxes back to u = a/b over a few full steps
     for field, after in (("v", [1, 1, 1, 0]), ("u", [1, 1, 0, 0])):
         values = getattr(state, field).values
         values[3] = np.nextafter(values[3], 0.0)
-        assert [solves(state, params) for _ in range(4)] == after
+        assert [solves(state) for _ in range(4)] == after
     # no fixed point holds a zero (diffusion moves it, and v > 0), so the
     # sign of zero is checked on the comparison the replay test uses
     assert not stepper._same_bits(np.array([1.0, 0.0]), np.array([1.0, -0.0]))

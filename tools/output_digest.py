@@ -54,6 +54,9 @@ CASES = {
     # two cells per axis: the smallest grid, and a 1D one that the spectral path solves
     "run_line_2cells": RUN + ["grid.cells=2", "ic.center=0.3", "ic.baseline=0.2"],
     "run_two_records": RUN + ["run.t_end=0.01", "run.diagnostics_every=0.01"],
+    # a(x, t) varies in x and t; its omega keeps every step off the replay path
+    "run_coefficient_x_t": RUN + ["model.a.eps_x=0.3", "model.a.k=2", "model.a.eps_t=0.2",
+                                  "model.a.omega=3"],
     "run_growing": RUN + ["grid.cells=8", "model.chi=0", "model.a=2", "ic.kind=constant",
                           "ic.value=1e-3", "run.t_end=4", "run.diagnostics_every=0.1"],
     # settles on u = a/b bit for bit, so most late steps are replays
@@ -71,6 +74,8 @@ CASES = {
     "solver_failure_overflow": RUN + ["grid.cells=16", "model.nu=1e308", "ic.kind=constant",
                                       "ic.value=10"],
     "config_error": RUN + ["model.unknown=1"],
+    "sweep_config_error_axis_value": ["sweep", "{cfg}", "--axis", "mu=1,-1", "--outdir", "{out}"],
+    "sweep_config_error_workers_0": SWEEP + ["--workers", "0"],
     "sweep_workers_1": SWEEP + ["--workers", "1"],
     "sweep_workers_2": SWEEP + ["--workers", "2"],
     "regimes_plan": ["regimes", "--chi", "2", "--mu", "1", "--a-inf", "2.1", "--plan"],
