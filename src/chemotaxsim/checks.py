@@ -23,13 +23,12 @@ def _uniform(gen: np.random.Generator, grid: Grid, data_range) -> ScalarField:
     return ScalarField(grid, np.clip(gen.uniform(lo, hi, grid.shape), 0.0, None))
 
 
-def mms_error_1d(n: int) -> float:
-    """Max error of the 1D solve (mu = nu = 1) on n cells against the
-    manufactured solution v = cos(pi x)."""
-    grid = Grid.line(1.0, n)
-    x = grid.centers(0)
-    v = solve_chemical(ScalarField(grid, (1.0 + np.pi ** 2) * np.cos(np.pi * x)), 1.0, 1.0)
-    return float(np.abs(v.values - np.cos(np.pi * x)).max())
+def mms_error(grid: Grid) -> float:
+    """Max error of the solve (mu = nu = 1) on a grid of unit extents against
+    the manufactured solution v = prod_i cos(pi x_i)."""
+    vstar = np.prod([np.cos(np.pi * x) for x in grid.coordinate_fields()], axis=0)
+    v = solve_chemical(ScalarField(grid, (1.0 + grid.dim * np.pi ** 2) * vstar), 1.0, 1.0)
+    return float(np.abs(v.values - vstar).max())
 
 
 def mean_identity_defect(grid: Grid, trials: int, seed: int,
@@ -151,7 +150,7 @@ def self_check() -> list[CheckItem]:
     """Built-in verification battery; failures are items, not raises.  The
     lp_plan_feasibility item reports the exponent construction's known
     infeasibility (see regimes.lp_parameter_plan)."""
-    order = math.log2(mms_error_1d(128) / mms_error_1d(256))
+    order = math.log2(mms_error(Grid.line(1.0, 128)) / mms_error(Grid.line(1.0, 256)))
     mean_defect, min_v = mean_identity_defect(Grid.line(1.0, 128), 20, 7, (0.0, 1.0))
     unit = ModelParams(1.0, 1.0, 1.0, CoefficientSpec.constant(1.0),
                        CoefficientSpec.constant(1.0))

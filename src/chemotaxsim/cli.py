@@ -17,8 +17,7 @@ import json
 import sys
 
 from . import checks, engine
-from .errors import (ConfigError, InfeasiblePlanError, ParameterError,
-                     SimulationError, ThresholdNotMetError)
+from .errors import ConfigError, InfeasiblePlanError, SimulationError
 from .regimes import beta_window, boundedness_threshold, lp_parameter_plan
 
 EXIT_OK = 0
@@ -61,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--a-inf", type=float, required=True, dest="a_inf")
     p_reg.add_argument("--plan", action="store_true",
                        help="also attempt the L^p exponent plan construction")
-    p_reg.add_argument("--plan-c", type=float, default=1.5)
-    p_reg.add_argument("--plan-h-frac", type=float, default=0.9)
-    p_reg.add_argument("--plan-alpha-gap", type=float, default=1e-3)
 
     sub.add_parser("check", help="run the built-in verification battery")
     return parser
@@ -118,16 +114,12 @@ def _cmd_regimes(args) -> int:
         payload["beta_window"] = None
     if args.plan:
         try:
-            plan = lp_parameter_plan(args.plan_c, args.plan_h_frac, args.plan_alpha_gap)
+            plan = lp_parameter_plan(1.5, 0.9, 1e-3)
             payload["lp_plan"] = dataclasses.asdict(plan)
             ok = ok and plan.all_flags
-        except (InfeasiblePlanError, ParameterError, ThresholdNotMetError) as err:
-            payload["lp_plan"] = {
-                "infeasible": True,
-                "message": str(err),
-                "p_star": getattr(err, "p_star", None),
-                "p_star_upper": getattr(err, "p_star_upper", None),
-            }
+        except InfeasiblePlanError as err:
+            payload["lp_plan"] = {"infeasible": True, "message": str(err),
+                                  "p_star": err.p_star, "p_star_upper": err.p_star_upper}
             ok = False
     print(json.dumps(payload, indent=2))
     return EXIT_OK if ok else EXIT_FAIL

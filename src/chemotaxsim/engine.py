@@ -469,8 +469,7 @@ def _run_cell(args: tuple[int, RunConfig]) -> tuple[int, RunOutcome]:
 
 
 def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
-          outdir=None, workers: int | None = None,
-          order: list[int] | None = None) -> SweepResult:
+          outdir=None, workers: int | None = None) -> SweepResult:
     """One run per point of the cartesian axis grid.
 
     Cells are independent: each gets its own config, output directory and
@@ -501,19 +500,13 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    schedule = order if order is not None else list(range(len(jobs)))
-    if sorted(schedule) != list(range(len(jobs))):
-        raise ConfigError("order must be a permutation of the cell indices")
-
-    scheduled = [jobs[pos] for pos in schedule]
     n_workers = min(workers if workers is not None else min(4, os.cpu_count() or 1), len(jobs))
     if n_workers <= 1:
-        results = dict(map(_run_cell, scheduled))
+        outcomes = [o for _, o in map(_run_cell, jobs)]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = dict(pool.map(_run_cell, scheduled))
+            outcomes = [o for _, o in pool.map(_run_cell, jobs)]
 
-    outcomes = [results[i] for i in range(len(jobs))]
     cols = ["cell", *names, "verdict", "trigger", "regime", "t_reached", "peak_max_u", "min_min_v"]
     rows = [dict(zip(cols, (i, *combo, o.verdict, o.trigger or "", o.summary["threshold"]["regime"],
                             o.t_reached, o.peak_max_u, o.min_min_v)))

@@ -18,8 +18,9 @@ hold to roundoff, which is the backbone of the mass-bound monitors.
 A step is a deterministic function of its inputs, so once an uncapped step
 with time-independent coefficients leaves (u, v) bitwise unchanged (a
 discrete steady state such as u = a/b), :func:`advance` replays it while
-the state's u and v keep those bits, instead of recomputing a result that
-every guard and check already accepted.
+the state's u and v keep those bits and its model and configs stay the
+same objects, instead of recomputing a result that every guard and check
+already accepted.
 """
 from __future__ import annotations
 
@@ -167,8 +168,8 @@ class SimState:
     ``v_min == v.min()``, with u_max within ``cfg.u_ceiling`` and v_min at or
     above ``cfg.v_floor``.  Construction computes the extrema and checks the
     ceiling, then the floor; :func:`advance` keeps all of it.  A caller that
-    edits ``u``, ``v`` or a config in place breaks them, and a replayed step
-    does not see a reassigned config; build a new state instead.
+    edits ``u`` or ``v`` in place breaks them; build a new state instead.  A
+    reassigned model or config takes effect at the next step.
     """
 
     t: float
@@ -182,8 +183,10 @@ class SimState:
     u_max: float = field(init=False)
     v_min: float = field(init=False)
     # the last step, when it was a bitwise fixed point (see advance): the
-    # bytes of u and v, their grid, its guard dt and the dt it accepted
-    _fixed_point: tuple[bytes, bytes, Grid, float, float] | None = field(
+    # bytes of u and v, their grid, the model and configs it ran under, its
+    # guard dt and the dt it accepted
+    _fixed_point: tuple[bytes, bytes, Grid, ModelParams, StepperConfig, EllipticConfig,
+                        float, float] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -213,14 +216,13 @@ def _interior_drift(v: ScalarField, chi: float) -> list[np.ndarray]:
     return out
 
 
-def chemotactic_velocity(v: ScalarField, chi: float,
-                         v_floor: float = 0.0) -> list[np.ndarray]:
+def chemotactic_velocity(v: ScalarField, chi: float) -> list[np.ndarray]:
     """Interior-face drift velocity w = chi * (face gradient of v) / (face-average v).
 
-    The face average is arithmetic.  Any cell at or below v_floor means the
+    The face average is arithmetic.  Any cell of v at or below zero means the
     singular sensitivity is no longer evaluable and raises DegeneracyError.
     """
-    _require_floor(v.min(), v_floor)
+    _require_floor(v.min(), 0.0)
     return _interior_drift(v, chi)
 
 
@@ -282,14 +284,15 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
     bitwise, the state records that step.  The next call replays it, doing
     only ``t += dt``, ``step += 1`` and ``dt_last = dt``, if the state's u
     and v are still on the recorded grid and bitwise equal to the recorded
-    ones and dt_cap is no smaller than the recorded guard dt.  With the
-    state's own configs those are all the step's inputs, so every guard and
-    check would repeat the recorded step's outcome.  Any other call drops
-    the record and runs the full step.
+    ones, its params, cfg and elliptic_cfg are the recorded objects, and
+    dt_cap is no smaller than the recorded guard dt.  Those are all the
+    step's inputs, so every guard and check would repeat the recorded step's
+    outcome.  Any other call drops the record and runs the full step.
     """
     if state._fixed_point is not None:
-        u_bits, v_bits, grid, guard_dt, dt = state._fixed_point
-        if (state.u.grid is grid and dt_cap >= guard_dt
+        u_bits, v_bits, grid, params, cfg, elliptic_cfg, guard_dt, dt = state._fixed_point
+        if (state.u.grid is grid and state.params is params and state.cfg is cfg
+                and state.elliptic_cfg is elliptic_cfg and dt_cap >= guard_dt
                 and state.u.values.tobytes() == u_bits
                 and state.v.values.tobytes() == v_bits):
             state.t += dt
@@ -333,7 +336,8 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
     if (u_peak == state.u_max and guard_dt <= dt_cap
             and params.coeff_a.omega == params.coeff_b.omega == 0.0
             and _same_bits(u_new, u_old) and _same_bits(v_new.values, state.v.values)):
-        state._fixed_point = (u_old.tobytes(), state.v.values.tobytes(), grid, guard_dt, dt)
+        state._fixed_point = (u_old.tobytes(), state.v.values.tobytes(), grid,
+                              params, cfg, state.elliptic_cfg, guard_dt, dt)
     state.u = u_field
     state.v = v_new
     state.u_max = u_peak

@@ -116,7 +116,7 @@ def all_acceptance_runs(steady_outcome, logistic_outcome, existence_sweep,
 
 def test_criterion_01_elliptic_convergence():
     t0 = time.perf_counter()
-    ratio = checks.mms_error_1d(128) / checks.mms_error_1d(256)
+    ratio = checks.mms_error(Grid.line(1.0, 128)) / checks.mms_error(Grid.line(1.0, 256))
     elapsed = time.perf_counter() - t0
     _crit("criterion 01 elliptic convergence",
           3.4 <= ratio <= 4.6 and elapsed < 1.0,

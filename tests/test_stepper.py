@@ -92,10 +92,14 @@ def test_velocity_for_exponential_profile():
 
 
 def test_velocity_degeneracy_detection():
+    # the singular sensitivity divides by v, so a zero or negative cell raises
     grid = Grid.line(1.0, 16)
-    v = ScalarField.full(grid, 1e-13)
-    with pytest.raises(DegeneracyError):
-        chemotactic_velocity(v, 1.0, v_floor=1e-12)
+    for bad in (0.0, -1e-300):
+        values = np.ones(16)
+        values[5] = bad
+        with pytest.raises(DegeneracyError):
+            chemotactic_velocity(ScalarField(grid, values), 1.0)
+    chemotactic_velocity(ScalarField.full(grid, 1e-300), 1.0)
 
 
 # --- dt proposal -------------------------------------------------------------
@@ -603,3 +607,41 @@ def test_no_replay_when_an_input_differs(monkeypatch):
                                      0x7FF8000000000000]).view(np.float64)
     assert not stepper._same_bits(np.array([nan_a]), np.array([nan_b]))
     assert stepper._same_bits(np.array([nan_a]), np.array([nan_a2]))
+
+
+def test_a_reassigned_model_or_config_is_seen_by_the_next_step(monkeypatch):
+    # u = a/b = 2 is a fixed point whose step is replayed until one of the
+    # state's params, cfg and elliptic_cfg is replaced
+    grid = Grid.line(1.0, 8)
+    params = constant_params(chi=2.0, a=2.0, b=1.0)
+
+    def settled():
+        state = steady_state(grid, params)
+        for _ in range(3):
+            advance(state)
+        assert state._fixed_point is not None
+        return state
+
+    # a = 3 moves the state off u = 2 exactly as it moves a fresh copy
+    state = settled()
+    state.params = replace(params, coeff_a=CoefficientSpec.constant(3.0))
+    want = fresh_copy(state)
+    for _ in range(100):
+        advance(state)
+        advance(want)
+    assert_same_state(state, want)
+    assert state.u_max > 2.5
+    # a floor above V(u) = 2 fails the next step, which leaves the state as it was
+    state = settled()
+    t = state.t
+    state.cfg = StepperConfig(v_floor=3.0)
+    with pytest.raises(DegeneracyError, match=r"chemical field at 2.000e\+00"):
+        advance(state)
+    assert state.t == t
+    # an equal elliptic config is another object: one full step, then replays
+    state = settled()
+    calls = count_solves(monkeypatch)
+    state.elliptic_cfg = elliptic.EllipticConfig()
+    for _ in range(3):
+        advance(state)
+    assert len(calls) == 1
