@@ -128,10 +128,10 @@ def solve_chemical(u: ScalarField, mu: float, nu: float,
     Raises SolverFailureError when the backward-error target
     ||b - A v||_2 <= rel_tolerance * (||A||_inf ||v||_2 + ||b||_2) is not met.
     """
-    if mu <= 0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    if nu <= 0:
-        raise ParameterError(f"nu must be positive, got {nu}")
+    if not 0 < mu < math.inf:
+        raise ParameterError(f"mu must be positive and finite, got {mu}")
+    if not 0 < nu < math.inf:
+        raise ParameterError(f"nu must be positive and finite, got {nu}")
     require_finite(u, "chemical source")
     grid = u.grid
     b = nu * u.values

@@ -43,7 +43,6 @@ TRIGGER_OF = {
 SWEEP_AXES = {
     "chi": lambda params, value: replace(params, chi=value),
     "a_scale": lambda params, value: replace(params, coeff_a=params.coeff_a.scaled(value)),
-    "b_scale": lambda params, value: replace(params, coeff_b=params.coeff_b.scaled(value)),
     "mu": lambda params, value: replace(params, mu=value),
 }
 
@@ -112,7 +111,6 @@ class RunConfig:
     diagnostics_every: float = 0.0     # 0 selects t_end/100
     snapshot_every: float = 0.0        # 0 disables snapshots
     p_list: tuple[float, ...] = (2.0,)
-    neg_p_list: tuple[float, ...] = ()
     grad_p: float | None = None
     seed: int = 0
     outdir: str | None = None
@@ -125,8 +123,6 @@ class RunConfig:
         # the ranges the monitored functionals are defined on
         if not all(p >= 1.0 for p in self.p_list):
             raise ConfigError(f"diagnostics.p_list needs every p >= 1, got {self.p_list}")
-        if not all(p > 0.0 for p in self.neg_p_list):
-            raise ConfigError(f"diagnostics.neg_p_list needs every p > 0, got {self.neg_p_list}")
         if self.grad_p is not None and not 1.0 < self.grad_p < self.grid.dim:
             raise ConfigError(f"diagnostics.grad_p needs 1 < p < grid.dim={self.grid.dim}, "
                               f"got {self.grad_p}")
@@ -179,8 +175,7 @@ _SECTION_KEYS = {
     "ic": _field_keys("ic", ICSpec),
     "run": {"run.t_end": "t_end", "run.diagnostics_every": "diagnostics_every",
             "run.snapshot_every": "snapshot_every", "diagnostics.p_list": "p_list",
-            "diagnostics.neg_p_list": "neg_p_list", "diagnostics.grad_p": "grad_p",
-            "run.seed": "seed", "run.outdir": "outdir"},
+            "diagnostics.grad_p": "grad_p", "run.seed": "seed", "run.outdir": "outdir"},
 }
 _KNOWN_KEYS = {"grid.dim", "grid.cells", "grid.extent"}.union(*_SECTION_KEYS.values())
 
@@ -283,13 +278,12 @@ def _classify(records: list[diag.DiagnosticsRecord]) -> str:
 MAX_AUTO_NEG_P = 64.0
 
 
-def _monitored_neg_p(config: RunConfig, thr: ThresholdVerdict) -> tuple[float, ...]:
-    neg = list(config.neg_p_list)
+def _monitored_neg_p(thr: ThresholdVerdict) -> tuple[float, ...]:
     if thr.satisfied:
         window = beta_window(thr.chi, thr.mu, thr.a_inf)
-        if window.p_hat <= MAX_AUTO_NEG_P and window.p_hat not in neg:
-            neg.append(window.p_hat)
-    return tuple(neg)
+        if window.p_hat <= MAX_AUTO_NEG_P:
+            return (window.p_hat,)
+    return ()
 
 
 def _next_point(t: float, every: float) -> int:
@@ -317,7 +311,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
 
     params = config.params
     thr = boundedness_threshold(params.chi, params.mu, params.coeff_a.inf)
-    neg_p = _monitored_neg_p(config, thr)
+    neg_p = _monitored_neg_p(thr)
     u0 = build_ic(config.grid, config.ic, default_seed=config.seed)
 
     def record_of(state: SimState) -> diag.DiagnosticsRecord:

@@ -25,8 +25,8 @@ def threshold(chi: float, mu: float) -> float:
     chi <= 2, else mu*(chi - 1).  Both branches meet at chi = 2."""
     if chi < 0 or not math.isfinite(chi):
         raise ParameterError(f"chi must be >= 0, got {chi}")
-    if mu <= 0:
-        raise ParameterError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ParameterError(f"mu must be positive and finite, got {mu}")
     if chi <= 2.0:
         return mu * chi * chi / 4.0
     return mu * (chi - 1.0)
@@ -43,6 +43,8 @@ class ThresholdVerdict:
 
 def boundedness_threshold(chi: float, mu: float, a_inf: float) -> ThresholdVerdict:
     thr = threshold(chi, mu)
+    if not math.isfinite(a_inf):
+        raise ParameterError(f"a_inf must be finite, got {a_inf}")
     return ThresholdVerdict(chi, mu, a_inf, thr, a_inf > thr)
 
 
@@ -75,6 +77,8 @@ def beta_window(chi: float, mu: float, R: float) -> BetaWindow:
     works, and the midpoint maximizes margin for the strict inequalities.
     """
     thr = threshold(chi, mu)
+    if not math.isfinite(R):
+        raise ParameterError(f"R must be finite, got {R}")
     if not (R > thr):
         raise ThresholdNotMetError(
             f"need R > {thr:.6g} (threshold for chi={chi}, mu={mu}), got R={R}")

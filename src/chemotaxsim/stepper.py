@@ -37,7 +37,6 @@ from .mesh import Grid, ScalarField, divergence, face_gradient  # noqa: F401  (r
 
 # negatives no larger than this fraction of max u are roundoff, not physics
 CLAMP_FRACTION = 1e-14
-MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,9 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def _require_floor(min_v: float, v_floor: float) -> None:
-    """Raise DegeneracyError when a chemical field's minimum is below v_floor or zero."""
-    if min_v < v_floor or min_v <= 0.0:
+    """Raise DegeneracyError when a chemical field's minimum is below v_floor,
+    zero or NaN."""
+    if not (min_v >= v_floor and min_v > 0.0):
         raise DegeneracyError(
             f"chemical field at {min_v:.3e} dropped below floor {v_floor:.3e}", min_v=min_v)
 
@@ -267,12 +267,12 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
     Keeps the state's invariants.  Order of operations: drift velocity
     from state.v, the guards' dt capped at dt_cap, the explicit update, then
     one elliptic solve V(u_new).  A step producing genuine negatives is
-    rejected and retried at dt/2 (up to MAX_HALVINGS); negatives within
-    CLAMP_FRACTION*max(u) of zero are roundoff and get zeroed instead.
+    rejected and retried at dt/2 until dt falls below dt_min; negatives
+    within CLAMP_FRACTION*max(u) of zero are roundoff and get zeroed instead.
 
     Failure modes map to distinct exceptions: DegeneracyError (v_floor, on
     V(u_new)), FieldOverflowError (u_ceiling, on u_new),
-    TimestepCollapseError (dt_min or retry budget), SolverFailureError
+    TimestepCollapseError (dt below dt_min), SolverFailureError
     (elliptic).  The state is assigned only after the new pair passes every
     check, so on any of them it still holds the last consistent (u, V(u))
     pair.  The solve's source check is the step's one finiteness pass: the
@@ -310,7 +310,7 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
     a = params.coeff_a.evaluate(grid, state.t)
     b = params.coeff_b.evaluate(grid, state.t)
     rhs = _explicit_rhs(state.u, w, a, b)
-    for _ in range(MAX_HALVINGS + 1):
+    while True:  # ends: dt_min > 0, so halving reaches it
         u_new = u_old + dt * rhs
         lowest = float(u_new.min())
         if lowest >= 0.0:
@@ -322,9 +322,6 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
         if dt < cfg.dt_min:
             raise TimestepCollapseError(
                 f"dt collapsed to {dt:.3e} while restoring positivity")
-    else:
-        raise TimestepCollapseError(
-            f"positivity not restored after {MAX_HALVINGS} halvings")
 
     u_peak = float(u_new.max())
     _require_ceiling(u_peak, cfg.u_ceiling)

@@ -139,8 +139,7 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
                      "grid.cells=16 ic.kind=gaussian ic.baseline=1e308 ic.amplitude=1e308",
                      "grid.cells=16 ic.kind=random ic.baseline=1e308 ic.amplitude=1e308",
                      # exponents outside the monitored functionals' ranges
-                     "diagnostics.p_list=0.5", "diagnostics.neg_p_list=-1",
-                     "diagnostics.grad_p=1.5"):
+                     "diagnostics.p_list=0.5", "diagnostics.grad_p=1.5"):
         assert main(["run", str(cfg_path), *override.split(),
                      "--outdir", str(tmp_path / "out")]) == 2, override
 
@@ -200,6 +199,15 @@ def test_regimes_subcommand(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["threshold"]["satisfied"] is False
     assert payload["beta_window"] is None
+
+
+@pytest.mark.parametrize("chi, mu, a_inf", [("1", "nan", "1"), ("1", "inf", "1"),
+                                           ("3", "1", "inf"), ("3", "1", "nan")])
+def test_regimes_subcommand_rejects_non_finite_input(chi, mu, a_inf, capsys):
+    # a NaN verdict or window would print non-strict JSON
+    assert main(["regimes", "--chi", chi, "--mu", mu, "--a-inf", a_inf]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_regimes_subcommand_plan_reports_infeasible(capsys):

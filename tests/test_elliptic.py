@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,9 @@ def test_parameter_validation():
         solve_chemical(u, mu=0.0, nu=1.0)
     with pytest.raises(ParameterError):
         solve_chemical(u, mu=1.0, nu=-1.0)
+    for mu, nu in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ParameterError):
+            solve_chemical(u, mu, nu)
     with pytest.raises(ParameterError):
         EllipticConfig(rel_tolerance=1e-3)
     solve_chemical(u, 1.0, 1.0, EllipticConfig(rel_tolerance=1e-4))

@@ -75,13 +75,13 @@ ALL_KEYS = {
     "run.seed": "17", "run.outdir": "somewhere",
     "ic.kind": "gaussian", "ic.value": "2", "ic.center": "0.4,0.6", "ic.width": "0.2",
     "ic.amplitude": "1.5", "ic.baseline": "0.1", "ic.seed": "99",
-    "diagnostics.p_list": "2,3", "diagnostics.neg_p_list": "1,2", "diagnostics.grad_p": "1.5",
+    "diagnostics.p_list": "2,3", "diagnostics.grad_p": "1.5",
 }
 
 
 def test_config_schema_defaults_fields_and_readme():
     assert config_from_mapping({}) == RunConfig()
-    assert engine._KNOWN_KEYS == set(ALL_KEYS) and len(ALL_KEYS) == 36
+    assert engine._KNOWN_KEYS == set(ALL_KEYS) and len(ALL_KEYS) == 35
     # each key sets the field its section names and nothing else in it
     def section(cfg, name):
         if name in ("coeff_a", "coeff_b"):

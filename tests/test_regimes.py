@@ -35,6 +35,16 @@ def test_threshold_validation():
         threshold(-1.0, 1.0)
     with pytest.raises(ParameterError):
         threshold(1.0, 0.0)
+    # a NaN or inf scalar would make the verdict or window NaN
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            threshold(1.0, mu)
+    for a_inf in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            boundedness_threshold(3.0, 1.0, a_inf)
+    for R in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            beta_window(3.0, 1.0, R)
 
 
 # --- beta window ---------------------------------------------------------------
@@ -61,6 +71,19 @@ def test_beta_window_equivalence_chain():
     assert quadratic(3.0, 1.0, 2.5, beta) < 0.0
     assert (p + 1.0) * beta * 1.0 / p - 2.5 < 0.0
     assert p == pytest.approx(4.0 * beta / (3.0 - beta) ** 2)
+
+
+@pytest.mark.parametrize("chi, mu, R", [(2.0, 1.0, 5.0), (1.0, 1.0, 2.25), (0.5, 2.0, 2.125),
+                                       (1.5, 0.5, 1.78125)])
+def test_beta_window_moves_a_midpoint_off_chi(chi, mu, R):
+    # at R = mu*(chi^2/4 + 2*chi) the window's midpoint is chi, where
+    # p = 4*beta/(chi-beta)^2 divides by zero
+    win = beta_window(chi, mu, R)
+    lo, hi = win.window
+    assert 0.5 * (lo + hi) == chi
+    assert lo < win.chosen_beta < hi and win.chosen_beta != chi
+    assert quadratic(chi, mu, R, win.chosen_beta) < 0.0
+    assert math.isfinite(win.p_hat)
 
 
 def test_beta_window_requires_rate_above_threshold():

@@ -331,6 +331,18 @@ def test_a_state_is_checked_where_it_is_made():
     assert (state.u_max, state.v_min) == (2.0, 1e-3)
 
 
+def test_a_nan_chemical_field_is_a_degeneracy():
+    # NaN compares false both ways, so the floor test is written to fail on it
+    grid = Grid.line(1.0, 8)
+    values = np.ones(8)
+    values[3] = math.nan
+    v = ScalarField(grid, values)
+    with pytest.raises(DegeneracyError):
+        SimState(0.0, 0, ScalarField.full(grid, 1.0), v, constant_params())
+    with pytest.raises(DegeneracyError):
+        chemotactic_velocity(v, 1.0)
+
+
 def test_floor_is_checked_where_each_pair_is_made():
     # u' = -u^2 makes u, and so v = V(u), fall in the first step; the floor
     # sits between V(u0) = 1 and V(u1) = 1 - dt
@@ -362,6 +374,54 @@ def test_accepted_steps_are_nonnegative_with_sharp_profile():
     for _ in range(400):
         advance(state)
         assert state.u.min() >= 0.0
+
+
+# --- positivity retry ----------------------------------------------------------
+# a spike of 100 in cell 8 of 16 at cfl_safety=1: at the guard dt 1/512
+# (h^2/2) diffusion alone takes 100 out of the spike and the reaction ~19
+# more, so u_new < 0 there; at dt/2 the spike keeps ~40
+
+def spike_state(cfg):
+    grid = Grid.line(1.0, 16)
+    u0 = np.zeros(16)
+    u0[8] = 100.0
+    return initial_state(ScalarField(grid, u0), constant_params(chi=0.0), cfg=cfg)
+
+
+def test_a_step_with_genuine_negatives_is_retried_at_half_dt():
+    state = spike_state(StepperConfig(cfl_safety=1.0))
+    grid = state.u.grid
+    mass0 = integrate(state.u)
+    reaction = float((state.u.values * (1.0 - state.u.values)).sum() * grid.cell_volume)
+    advance(state)
+    assert state.dt_last == 1.0 / 1024.0
+    assert state.u.min() >= 0.0
+    assert abs(integrate(state.u) - mass0 - state.dt_last * reaction) <= 1e-12 * mass0
+
+
+def test_roundoff_negatives_are_clamped_at_the_full_dt():
+    from chemotaxsim.stepper import _explicit_rhs
+    grid = Grid.line(1.0, 3)
+    params = constant_params(chi=0.0, a=0.0, b=0.0)
+    state = initial_state(ScalarField(grid, np.array([0.0, 123.456, 0.0])), params,
+                          cfg=StepperConfig(cfl_safety=1.0))
+    (w,) = chemotactic_velocity(state.v, 0.0)
+    zeros = np.zeros(3)
+    unclamped = state.u.values + (1.0 / 18.0) * _explicit_rhs(state.u, [w], zeros, zeros)
+    assert -1e-13 < unclamped[1] < 0.0  # the guard dt h^2/2 empties the middle cell
+    advance(state)
+    assert state.dt_last == 1.0 / 18.0
+    assert state.u.values[1] == 0.0 and state.u.min() == 0.0
+
+
+def test_halving_below_dt_min_is_a_collapse():
+    state = spike_state(StepperConfig(cfl_safety=1.0, dt_min=0.75 / 512.0))
+    u = state.u
+    u_values = u.values.copy()
+    with pytest.raises(TimestepCollapseError, match="while restoring positivity"):
+        advance(state)
+    assert state.u is u and np.array_equal(state.u.values, u_values)
+    assert (state.t, state.step, state.dt_last) == (0.0, 0, 0.0)
 
 
 def test_failed_solve_leaves_state_unchanged(monkeypatch):

@@ -63,6 +63,9 @@ CASES = {
     "run_fixed_point_replay": RUN + ["grid.cells=8", "model.chi=2", "model.a=2", "ic.width=0.25",
                                      "ic.amplitude=0.5", "ic.baseline=0.5", "run.t_end=20",
                                      "run.diagnostics_every=1"],
+    # a spike on cell 16 of 32 whose first step is retried at half the guard dt
+    "run_positivity_retry": RUN + ["model.chi=0", "ic.center=0.515625", "ic.width=0.01",
+                                   "ic.baseline=0", "ic.amplitude=100", "stepper.cfl_safety=1"],
     "trigger_u_ceiling": RUN + ["stepper.u_ceiling=0.5"],
     "trigger_v_floor_mid_run": RUN + ["stepper.v_floor=0.25", "model.chi=3", "model.a=0.1",
                                       "ic.baseline=0.05", "run.t_end=2"],
@@ -79,6 +82,8 @@ CASES = {
     "sweep_workers_1": SWEEP + ["--workers", "1"],
     "sweep_workers_2": SWEEP + ["--workers", "2"],
     "regimes_plan": ["regimes", "--chi", "2", "--mu", "1", "--a-inf", "2.1", "--plan"],
+    "regimes_mu_nan": ["regimes", "--chi", "1", "--mu", "nan", "--a-inf", "1"],
+    "regimes_a_inf_inf": ["regimes", "--chi", "3", "--mu", "1", "--a-inf", "inf"],
     "check": ["check"],
 }
 
