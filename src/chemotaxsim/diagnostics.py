@@ -85,7 +85,7 @@ def m_star(u0_mass: float, a_sup: float, b_inf: float, measure: float) -> float:
     return u0_mass if a_sup == 0.0 else math.inf
 
 
-@dataclass
+@dataclass(slots=True)
 class DiagnosticsRecord:
     t: float
     mass: float

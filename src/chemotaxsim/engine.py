@@ -362,9 +362,11 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
     outcome.summary = _summarize(config, outcome, neg_p, thr)
     if out is not None:
         diag_path = out / "diagnostics.csv"
-        lines = [diag.csv_header(config.p_list, neg_p, config.grad_p)]
-        lines += [diag.csv_row(r, config.p_list, neg_p, config.grad_p) for r in records]
-        diag_path.write_text("\n".join(lines) + "\n")
+        # row by row, so the file's text is never held whole next to the records
+        with diag_path.open("w") as fh:
+            fh.write(diag.csv_header(config.p_list, neg_p, config.grad_p) + "\n")
+            for r in records:
+                fh.write(diag.csv_row(r, config.p_list, neg_p, config.grad_p) + "\n")
         summary_path = out / "summary.json"
         summary_path.write_text(json.dumps(_json_safe(outcome.summary), indent=2) + "\n")
         outcome.diagnostics_path = str(diag_path)
@@ -402,14 +404,15 @@ def _summarize(config: RunConfig, outcome: RunOutcome, neg_p, thr: ThresholdVerd
             summary["persistence"] = asdict(diag.check_persistence(tail, *floors))
         else:
             summary["persistence"] = {"passed": trigger is None and bool(records)}
-        slopes = [
-            (b.log_mass - a.log_mass) / (b.t - a.t)
-            for a, b in zip(records, records[1:]) if b.t > a.t
-        ]
-        finite = [s for s in slopes if math.isfinite(s)]
+        min_slope = None  # `<` keeps the first of equal minima (0.0 before -0.0), as min() does
+        for prev, rec in itertools.pairwise(records):
+            if rec.t > prev.t:
+                slope = (rec.log_mass - prev.log_mass) / (rec.t - prev.t)
+                if math.isfinite(slope) and (min_slope is None or slope < min_slope):
+                    min_slope = slope
         summary["log_mass_trend"] = {
-            "min_slope": min(finite) if finite else None,
-            "c_obs": max(0.0, -min(finite)) if finite else None,
+            "min_slope": min_slope,
+            "c_obs": max(0.0, -min_slope) if min_slope is not None else None,
         }
         ratios = [r.grad_ratio for r in records if r.grad_ratio is not None]
         if ratios:

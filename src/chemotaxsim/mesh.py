@@ -207,10 +207,12 @@ def write_snapshot(f: ScalarField, t: float, path) -> None:
     grid = f.grid
     head = [str(grid.dim)] + [str(n) for n in grid.cells]
     head += [f"{e:.17g}" for e in grid.extents] + [f"{t:.17g}"]
-    lines = [" ".join(head)]
+    # one last-axis row at a time, so the file's text is never held whole;
     # Python floats format faster than numpy scalars, to the same text
-    lines += [f"{v:.17g}" for v in f.values.ravel().tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        fh.write(" ".join(head) + "\n")
+        for row in f.values.reshape(-1, grid.cells[-1]):
+            fh.write("\n".join([f"{v:.17g}" for v in row.tolist()]) + "\n")
 
 
 def read_snapshot(path) -> tuple[ScalarField, float]:

@@ -130,8 +130,12 @@ class StepperConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ParameterError("cfl_safety must lie in (0, 1]")
-        if not all(x > 0 for x in (self.dt_min, self.u_ceiling, self.v_floor)):
-            raise ParameterError("dt_min, u_ceiling and v_floor must be positive")
+        # an infinite dt_min or v_floor would trip its guard on the first step;
+        # u_ceiling=inf means no ceiling
+        if not (0 < self.dt_min < math.inf and 0 < self.v_floor < math.inf
+                and self.u_ceiling > 0):
+            raise ParameterError("dt_min and v_floor must be positive and finite, "
+                                 "and u_ceiling positive")
 
 
 DEFAULT_STEPPER = StepperConfig()

@@ -132,6 +132,8 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
                      "run.seed=-3", f"run.seed={2 ** 64}",
                      # a NaN threshold would switch its guard off
                      "stepper.dt_min=nan", "stepper.u_ceiling=nan", "stepper.v_floor=nan",
+                     # an infinite dt_min or v_floor would trip its guard at t=0
+                     "stepper.dt_min=inf", "stepper.v_floor=inf",
                      "ic.kind=gaussian ic.width=nan", "ic.kind=gaussian ic.width=0",
                      "ic.kind=gaussian ic.width=-0.1", "ic.kind=gaussian ic.amplitude=inf",
                      "ic.kind=constant ic.value=inf", "ic.kind=random ic.amplitude=nan",

@@ -3,13 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chemotaxsim import engine, stepper
+from chemotaxsim import diagnostics, engine, stepper
 from chemotaxsim.engine import (ICSpec, RunConfig, build_ic, config_from_mapping,
                                 load_config, parse_config_text, run, sweep)
 from chemotaxsim.elliptic import solve_chemical
@@ -188,6 +189,24 @@ def test_snapshots_written_when_enabled(tmp_path):
     run(cfg, outdir=tmp_path)
     snaps = sorted((tmp_path / "snapshots").glob("t*.field"))
     assert len(snaps) == 4  # t=0 plus three cadence hits
+
+
+def test_run_writes_diagnostics_without_holding_the_file(tmp_path):
+    # a record every step: 2,561 rows, a 0.67 MB file next to the records
+    cfg = quick_config(grid=Grid.line(1.0, 32), ic=ICSpec(kind="gaussian", baseline=0.2),
+                       diagnostics_every=1e-6, p_list=(1.0, 2.0, 3.5))
+    run(cfg, outdir=tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        outcome = run(cfg, outdir=tmp_path / "out")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 0.5e6, (peak, held)
+    neg_p = outcome.summary["monitored_neg_p"]
+    rows = [diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p)]
+    rows += [diagnostics.csv_row(r, cfg.p_list, neg_p, cfg.grad_p) for r in outcome.records]
+    assert Path(outcome.diagnostics_path).read_text() == "\n".join(rows) + "\n"
 
 
 def test_every_record_pairs_u_with_its_own_v(tmp_path):

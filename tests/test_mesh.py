@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,24 @@ def test_snapshot_roundtrip_bitwise(tmp_path):
         assert t == 0.625
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
+
+
+def test_snapshot_is_written_a_row_at_a_time(tmp_path):
+    # a 48^3 snapshot is a 2.1 MB file; its text is never held whole
+    g = Grid((1.0, 1.0, 1.0), (48, 48, 48))
+    gen = np.random.Generator(np.random.Philox(key=3))
+    f = ScalarField(g, gen.uniform(0.0, 3.0, g.shape))
+    path = tmp_path / "big.field"
+    tracemalloc.start()
+    try:
+        write_snapshot(f, t=1.0, path=path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    back, t = read_snapshot(path)
+    assert t == 1.0
+    assert back.values.tobytes() == f.values.tobytes()
 
 
 def test_snapshot_header_layout(tmp_path):

@@ -329,6 +329,12 @@ def test_a_state_is_checked_where_it_is_made():
         SimState(0.0, 0, u, ScalarField.full(grid, 0.0), params)
     state = SimState(0.0, 0, u, v, params, StepperConfig(v_floor=1e-3))
     assert (state.u_max, state.v_min) == (2.0, 1e-3)
+    # u_ceiling=inf means no ceiling, yet a non-finite maximum still trips it
+    values = np.full(16, 2.0)
+    values[5] = math.inf
+    with pytest.raises(FieldOverflowError):
+        SimState(0.0, 0, ScalarField(grid, values), v, params,
+                 StepperConfig(u_ceiling=math.inf, v_floor=1e-3))
 
 
 def test_a_nan_chemical_field_is_a_degeneracy():

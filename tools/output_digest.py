@@ -66,6 +66,9 @@ CASES = {
     # a spike on cell 16 of 32 whose first step is retried at half the guard dt
     "run_positivity_retry": RUN + ["model.chi=0", "ic.center=0.515625", "ic.width=0.01",
                                    "ic.baseline=0", "ic.amplitude=100", "stepper.cfl_safety=1"],
+    # a record every step: the file is written row by row from many records
+    "run_dense_records": RUN + ["run.t_end=0.05", "run.diagnostics_every=1e-6",
+                                "run.snapshot_every=0.01", "diagnostics.p_list=1,2,3.5"],
     "trigger_u_ceiling": RUN + ["stepper.u_ceiling=0.5"],
     "trigger_v_floor_mid_run": RUN + ["stepper.v_floor=0.25", "model.chi=3", "model.a=0.1",
                                       "ic.baseline=0.05", "run.t_end=2"],
@@ -77,6 +80,8 @@ CASES = {
     "solver_failure_overflow": RUN + ["grid.cells=16", "model.nu=1e308", "ic.kind=constant",
                                       "ic.value=10"],
     "config_error": RUN + ["model.unknown=1"],
+    "config_error_dt_min_inf": RUN + ["stepper.dt_min=inf"],
+    "config_error_v_floor_inf": RUN + ["stepper.v_floor=inf"],
     "sweep_config_error_axis_value": ["sweep", "{cfg}", "--axis", "mu=1,-1", "--outdir", "{out}"],
     "sweep_config_error_workers_0": SWEEP + ["--workers", "0"],
     "sweep_workers_1": SWEEP + ["--workers", "1"],
