@@ -2,12 +2,14 @@
 
 The operator uses the mesh module's Neumann closure, so it is symmetric
 positive definite for any mu > 0 (no null space, unlike a pure Neumann
-Poisson problem).  Both solves are direct.  Lines of three or more cells go
-through a cached tridiagonal LU factorization.  On every other grid, in any
-dimension, the mirror-ghost closure makes the operator exactly diagonal in
-the grid's own cosine (DCT-II) basis: one matmul per axis takes the source
-there, a division by the eigenvalues solves, and the transposes come back.
-Either way one residual check accepts the result.
+Poisson problem).  Both solves are direct, and one residual check accepts
+either.  Lines of three or more cells go through a cached tridiagonal LU
+factorization, and the check takes b - A v there in one BLAS banded product
+with the factored matrix.  On every other grid, in any dimension, the
+mirror-ghost closure makes the operator exactly diagonal in the grid's own
+cosine (DCT-II) basis: one matmul per axis takes the source there, a
+division by the eigenvalues solves, and the transposes come back; the check
+applies the stepper's stencil, :func:`apply_operator`.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import ParameterError, SolverFailureError
 from .mesh import Grid, ScalarField, divergence, require_finite
@@ -43,17 +45,18 @@ def apply_operator(grid: Grid, mu: float, v: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _tridiag_factors(grid: Grid, mu: float):
-    """LU factorization of the 1D operator, reused across timesteps.  The
-    LAPACK gttrf wrapper rejects n=2, so it needs at least three cells."""
-    n = grid.cells[0]
+    """LU factorization of the 1D operator, reused across timesteps, and the
+    operator in LAPACK band layout (rows: super-, main and sub-diagonal, each
+    entry in its matrix column).  gttrf rejects n=2: it needs three cells."""
     h2 = grid.spacing[0] ** 2
-    diag = np.full(n, mu + 2.0 / h2)
-    diag[0] = diag[-1] = mu + 1.0 / h2
-    off = np.full(n - 1, -1.0 / h2)
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(off, diag, off)
+    band = np.empty((3, grid.cells[0]), order="F")
+    band[0] = band[2] = -1.0 / h2  # band[0, 0] and band[2, -1] lie outside the matrix
+    band[1] = mu + 2.0 / h2
+    band[1, [0, -1]] = mu + 1.0 / h2
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(band[2, :-1], band[1], band[0, 1:])
     if info != 0:
         raise SolverFailureError(f"tridiagonal factorization failed (info={info})")
-    return dl, d, du, du2, ipiv
+    return (dl, d, du, du2, ipiv), band
 
 
 def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
@@ -81,19 +84,6 @@ def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     return (x.reshape(-1, shape[-1]) @ mats[-1].T).reshape(shape)
 
 
-def _norm2(x: np.ndarray) -> float:
-    """Euclidean norm.  Only when the plain sum of squares overflows is it
-    taken again on x scaled by its largest entry, so the common case costs
-    one pass; an entry that is itself inf or NaN keeps the plain result."""
-    sq = np.vdot(x, x)
-    if sq == math.inf:
-        scale = float(np.abs(x).max())
-        if scale < math.inf:
-            y = x / scale
-            return scale * math.sqrt(np.vdot(y, y))
-    return math.sqrt(sq)
-
-
 def _check_residual(grid: Grid, mu: float, b: np.ndarray, v: np.ndarray,
                     rel_tol: float) -> None:
     """Backward-error acceptance ||b - Av|| <= tol*(||A||_inf*||v|| + ||b||).
@@ -102,15 +92,20 @@ def _check_residual(grid: Grid, mu: float, b: np.ndarray, v: np.ndarray,
     ||A||_inf = mu + sum_ax 4/h_ax^2 grows like h^-2, so a test relative to
     ||b|| alone becomes unattainable on fine grids.  A NaN or inf residual
     (v or the source overflowed) fails before any bound, which could itself
-    be inf, so an accepted v is finite."""
-    res = _norm2(b - apply_operator(grid, mu, v))
+    be inf, so an accepted v is finite.  BLAS nrm2 scales as it sums, so no
+    norm overflows while its entries are finite."""
+    if grid.dim == 1 and grid.num_cells > 2:  # b - A v with the factored matrix
+        r = blas.dgbmv(b.size, b.size, 1, 1, -1.0, _tridiag_factors(grid, mu)[1], v, beta=1.0, y=b)
+    else:
+        r = b - apply_operator(grid, mu, v)
+    res = blas.dnrm2(r.ravel())
     if not res < math.inf:
         raise SolverFailureError(f"elliptic solve residual is {res}")
-    b_norm = _norm2(b)
+    b_norm = blas.dnrm2(b.ravel())
     if res <= rel_tol * b_norm:  # sufficient, and cheaper on the per-step path
         return
     a_norm = mu + sum(4.0 / h ** 2 for h in grid.spacing)
-    if not res <= rel_tol * (a_norm * _norm2(v) + b_norm):
+    if not res <= rel_tol * (a_norm * blas.dnrm2(v.ravel()) + b_norm):
         raise SolverFailureError(f"elliptic solve residual {res:.3e} above tolerance")
 
 
@@ -136,7 +131,7 @@ def solve_chemical(u: ScalarField, mu: float, nu: float,
     grid = u.grid
     b = nu * u.values
     if grid.dim == 1 and grid.num_cells > 2:
-        v, info = lapack.dgttrs(*_tridiag_factors(grid, mu), b)
+        v, info = lapack.dgttrs(*_tridiag_factors(grid, mu)[0], b)
         if info != 0:
             raise SolverFailureError(f"tridiagonal back-substitution failed (info={info})")
     else:  # into the cosine basis, divide by the eigenvalues, back

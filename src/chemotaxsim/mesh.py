@@ -159,11 +159,8 @@ def face_gradient(f: ScalarField) -> list[np.ndarray]:
     """Per-axis gradients on the interior faces: (right - left)/h between
     neighbors.  The boundary faces' zero gradient is implied."""
     require_finite(f)
-    grid = f.grid
-    out = []
-    for (lo, hi), h in zip(grid.face_slices, grid.spacing):
-        out.append((f.values[hi] - f.values[lo]) / h)
-    return out
+    return [(f.values[hi] - f.values[lo]) / h
+            for (lo, hi), h in zip(f.grid.face_slices, f.grid.spacing)]
 
 
 def cell_gradient_sq(f: ScalarField) -> ScalarField:
@@ -178,8 +175,7 @@ def cell_gradient_sq(f: ScalarField) -> ScalarField:
         pair = np.zeros(grid.shape)
         pair[lo] = g
         pair[hi] += g
-        avg = 0.5 * pair
-        total += avg * avg
+        total += (0.5 * pair) ** 2
     return ScalarField(grid, total)
 
 
@@ -190,12 +186,13 @@ def divergence(grid: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
     boundary faces, so the cell sum of the result telescopes to zero: the
     discrete conservation every mass identity in this package rests on.
     """
-    div = np.zeros(grid.shape)
+    div = 0.0  # first axis: 0.0 + x turns -0.0 into +0.0, as a sum started from zeros does
     for (lo, hi), flux, h in zip(grid.face_slices, fluxes, grid.spacing):
-        net = np.zeros(grid.shape)
+        net = np.zeros(grid.shape)  # the one array per axis; the first axis's is the result
         net[lo] = flux
         net[hi] -= flux
-        div += net / h
+        net /= h
+        div = np.add(net, div, out=net)
     return div
 
 
@@ -216,17 +213,19 @@ def write_snapshot(f: ScalarField, t: float, path) -> None:
 
 
 def read_snapshot(path) -> tuple[ScalarField, float]:
-    """Read a :func:`write_snapshot` file; one that does not parse raises CorruptFieldError."""
-    tokens = Path(path).read_text().split()
-    try:
-        dim = int(tokens[0])
-        cells = tuple(int(x) for x in tokens[1:1 + dim])
-        extents = tuple(float(x) for x in tokens[1 + dim:1 + 2 * dim])
-        t = float(tokens[1 + 2 * dim])
-        vals = np.array([float(x) for x in tokens[2 + 2 * dim:]])
-        grid = Grid(extents, cells)  # a ParameterError is a ValueError
-    except (IndexError, ValueError) as err:
-        raise CorruptFieldError(f"malformed snapshot: {err}") from err
-    if vals.size != grid.num_cells:
-        raise CorruptFieldError(f"snapshot has {vals.size} values, expected {grid.num_cells}")
+    """Read a :func:`write_snapshot` file a line at a time into one array of the
+    header's size; one that does not parse raises CorruptFieldError."""
+    with Path(path).open() as fh:
+        tokens = (tok for line in fh for tok in line.split())
+        try:
+            dim = int(next(tokens))
+            cells = tuple([int(next(tokens)) for _ in range(dim)])
+            extents = tuple([float(next(tokens)) for _ in range(dim)])
+            t = float(next(tokens))
+            grid = Grid(extents, cells)  # a ParameterError is a ValueError
+            vals = np.fromiter(map(float, tokens), np.float64, count=grid.num_cells)
+        except (StopIteration, ValueError, MemoryError) as err:  # too short, or too big a header
+            raise CorruptFieldError(f"malformed snapshot: {err!r}") from err
+        if next(tokens, None) is not None:
+            raise CorruptFieldError(f"snapshot has more than {grid.num_cells} values")
     return ScalarField(grid, vals.reshape(grid.shape)), t

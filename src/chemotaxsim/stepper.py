@@ -192,6 +192,8 @@ class SimState:
     _fixed_point: tuple[bytes, bytes, Grid, ModelParams, StepperConfig, EllipticConfig,
                         float, float] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # (params, grid, a, b): time-independent a and b at the cell centers
+    _coefficients: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.u_max = self.u.max()
@@ -311,8 +313,13 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
     dt = min(guard_dt, dt_cap)
 
     u_old = state.u.values
-    a = params.coeff_a.evaluate(grid, state.t)
-    b = params.coeff_b.evaluate(grid, state.t)
+    steady = params.coeff_a.omega == params.coeff_b.omega == 0.0
+    kept = state._coefficients
+    if not (kept and kept[0] is params and kept[1] is grid):
+        kept = (params, grid, params.coeff_a.evaluate(grid, state.t),
+                params.coeff_b.evaluate(grid, state.t))
+        state._coefficients = kept if steady else None
+    a, b = kept[2:]
     rhs = _explicit_rhs(state.u, w, a, b)
     while True:  # ends: dt_min > 0, so halving reaches it
         u_new = u_old + dt * rhs
@@ -334,8 +341,7 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
     v_min = v_new.min()
     _require_floor(v_min, cfg.v_floor)
     # the max test first: a step that moved u's max costs one comparison
-    if (u_peak == state.u_max and guard_dt <= dt_cap
-            and params.coeff_a.omega == params.coeff_b.omega == 0.0
+    if (u_peak == state.u_max and guard_dt <= dt_cap and steady
             and _same_bits(u_new, u_old) and _same_bits(v_new.values, state.v.values)):
         state._fixed_point = (u_old.tobytes(), state.v.values.tobytes(), grid,
                               params, cfg, state.elliptic_cfg, guard_dt, dt)

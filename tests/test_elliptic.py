@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgbmv, dnrm2
 
+from chemotaxsim import elliptic
 from chemotaxsim.checks import mean_identity_defect, mms_error
 from chemotaxsim.elliptic import EllipticConfig, apply_operator, solve_chemical
 from chemotaxsim.errors import ParameterError, SolverFailureError
@@ -88,10 +90,13 @@ def test_unattainable_tolerance_raises_with_residual():
                             "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("grid", [Grid.line(1.0, 16), Grid.box(1.0, 1.0, 8, 6)],
                          ids=["1d", "2d"])
-def test_non_finite_solution_fails_the_residual_check(grid):
+def test_non_finite_solution_fails_the_residual_check(grid, monkeypatch):
     # NaN compares False with any bound, and one inf cell makes the bound
-    # inf too; both must be rejected, never accepted
+    # inf too; both must be rejected, never accepted.  The line takes the
+    # banded residual, so there the stencil must not run.
     from chemotaxsim.elliptic import _check_residual
+    if grid.dim == 1:
+        monkeypatch.setattr(elliptic, "apply_operator", None)
     ones = np.ones(grid.shape)
     one_inf = ones.copy()
     one_inf.flat[3] = np.inf
@@ -117,16 +122,46 @@ def test_residual_check_holds_for_sources_whose_squares_overflow(scale):
     # the plain sum of squares of this 24-cell source is inf, so an unscaled
     # ||b|| made the bound inf: at 1e155 a wrong v passed, and at 1e175 the
     # residual's squares overflowed too, so a correct solve was rejected
-    from chemotaxsim.elliptic import _check_residual, _norm2
+    from chemotaxsim.elliptic import _check_residual
     grid = Grid.line(1.0, 24)
     profile = 1.0 + 0.5 * np.cos(np.pi * grid.centers(0))
     b = scale * profile
-    assert _norm2(b) == pytest.approx(scale * np.linalg.norm(profile), rel=1e-14)
+    assert dnrm2(b) == pytest.approx(scale * np.linalg.norm(profile), rel=1e-14)
     v = solve_chemical(ScalarField(grid, b), 1.0, 1.0).values
     unit = solve_chemical(ScalarField(grid, profile), 1.0, 1.0).values
     assert np.allclose(v / scale, unit, rtol=1e-13, atol=0.0)
     with pytest.raises(SolverFailureError):
         _check_residual(grid, 1.0, b, v * (1.0 + 1e-5), 1e-10)
+
+
+def test_banded_residual_rejects_a_perturbed_solution(monkeypatch):
+    # a 256-cell line checks b - A v with the cached band, not the stencil.
+    # v*(1 + d) leaves the residual d*||b||, which the bound rejects only when
+    # ||b||/||v|| > d*||A||_inf = 2.6 here: a smooth source's perturbation is
+    # within backward error, so the source is the cosine mode of 8 periods
+    from chemotaxsim.elliptic import _check_residual
+    monkeypatch.setattr(elliptic, "apply_operator", None)
+    grid = Grid.line(1.0, 256)
+    b = np.cos(16.0 * np.pi * grid.centers(0))
+    v = solve_chemical(ScalarField(grid, b), 1.0, 1.0).values
+    _check_residual(grid, 1.0, b, v, 1e-10)
+    with pytest.raises(SolverFailureError, match="above tolerance"):
+        _check_residual(grid, 1.0, b, v * (1.0 + 1e-5), 1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 24, 257])
+def test_cached_band_is_the_operator_matrix(n):
+    # the LU path's residual applies the factored matrix in band layout, so
+    # that matrix must be the stepper's stencil, column by column
+    from chemotaxsim.elliptic import _tridiag_factors
+    grid = Grid.line(1.0, n)
+    mu = 1.3
+    band = _tridiag_factors(grid, mu)[1]
+    eye = np.eye(n)
+    banded = np.column_stack([dgbmv(n, n, 1, 1, 1.0, band, e) for e in eye])
+    dense = np.column_stack([apply_operator(grid, mu, e) for e in eye])
+    a_norm = mu + 4.0 / grid.spacing[0] ** 2
+    assert np.abs(banded - dense).max() <= 4.0 * np.finfo(float).eps * a_norm
 
 
 def test_parameter_validation():

@@ -477,9 +477,11 @@ def test_accepted_step_checks_finiteness_once_and_solves_once(grid, monkeypatch)
                          (stepper, "solve_chemical"), (elliptic, "_check_residual"),
                          (mesh, "face_gradient"), (stepper, "face_gradient")):
         count(module, name)
-    advance(state)
-    assert state.step == 1
-    assert calls == {"require_finite": 1, "solve_chemical": 1, "_check_residual": 1}
+    for step in (1, 2):  # the second step reuses the first one's coefficients
+        advance(state)
+        assert state.step == step
+        assert calls == {"require_finite": step, "solve_chemical": step,
+                         "_check_residual": step}
 
 
 # --- linear stability about the constant state ---------------------------------
@@ -711,3 +713,45 @@ def test_a_reassigned_model_or_config_is_seen_by_the_next_step(monkeypatch):
     for _ in range(3):
         advance(state)
     assert len(calls) == 1
+
+
+def test_kept_coefficients_never_freeze_a_time_or_a_model(monkeypatch):
+    # time-independent a and b are evaluated once per state and model; a
+    # time-dependent one is evaluated at every step's own t, and a
+    # reassigned model is evaluated afresh at the next step
+    calls = []
+    evaluate = CoefficientSpec.evaluate
+
+    def spy(spec, grid, t):
+        calls.append((spec, t))
+        return evaluate(spec, grid, t)
+    monkeypatch.setattr(CoefficientSpec, "evaluate", spy)
+    grid = Grid.line(1.0, 16)
+    u0 = ScalarField.from_function(grid, lambda x: 1.0 + 0.5 * np.cos(np.pi * x))
+
+    timed = ModelParams(2.0, 1.0, 1.0, CoefficientSpec(2.0, eps_t=0.5, omega=3.0),
+                        CoefficientSpec.constant(1.0))
+    state = initial_state(u0, timed)
+    times = []
+    for _ in range(3):
+        times.append(state.t)
+        advance(state)
+    assert calls == [(spec, t) for t in times for spec in (timed.coeff_a, timed.coeff_b)]
+
+    params = constant_params(chi=2.0, a=2.0)
+    state = initial_state(u0, params)
+    calls.clear()
+    for _ in range(3):
+        advance(state)
+    assert calls == [(params.coeff_a, 0.0), (params.coeff_b, 0.0)]
+    # a = 3 from the next step on, exactly as on a state built with it
+    state.params = replace(params, coeff_a=CoefficientSpec.constant(3.0))
+    want = fresh_copy(state)
+    t = state.t
+    calls.clear()
+    for _ in range(3):
+        advance(state)
+        advance(want)
+        assert_same_state(state, want)
+    a3, b = state.params.coeff_a, state.params.coeff_b
+    assert calls == [(a3, t), (b, t)] * 2  # each state's first step only
