@@ -90,19 +90,18 @@ def test_unattainable_tolerance_raises_with_residual():
                             "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("grid", [Grid.line(1.0, 16), Grid.box(1.0, 1.0, 8, 6)],
                          ids=["1d", "2d"])
-def test_non_finite_solution_fails_the_residual_check(grid, monkeypatch):
+def test_non_finite_solution_fails_the_residual_check(grid):
     # NaN compares False with any bound, and one inf cell makes the bound
-    # inf too; both must be rejected, never accepted.  The line takes the
-    # banded residual, so there the stencil must not run.
-    from chemotaxsim.elliptic import _check_residual
-    if grid.dim == 1:
-        monkeypatch.setattr(elliptic, "apply_operator", None)
+    # inf too; both must be rejected, never accepted.  The line passes its
+    # band, as its solve does.
+    from chemotaxsim.elliptic import _check_residual, _tridiag_factors
+    band = _tridiag_factors(grid, 1.0)[1] if grid.dim == 1 else None
     ones = np.ones(grid.shape)
     one_inf = ones.copy()
     one_inf.flat[3] = np.inf
     for v in (np.full(grid.shape, np.nan), one_inf):
         with pytest.raises(SolverFailureError):
-            _check_residual(grid, 1.0, ones, v, 1e-10)
+            _check_residual(grid, 1.0, ones, v, 1e-10, band)
     with pytest.raises(SolverFailureError):  # nu*u overflows to inf
         solve_chemical(ScalarField.full(grid, 10.0), 1.0, 1e308)
 
@@ -122,7 +121,7 @@ def test_residual_check_holds_for_sources_whose_squares_overflow(scale):
     # the plain sum of squares of this 24-cell source is inf, so an unscaled
     # ||b|| made the bound inf: at 1e155 a wrong v passed, and at 1e175 the
     # residual's squares overflowed too, so a correct solve was rejected
-    from chemotaxsim.elliptic import _check_residual
+    from chemotaxsim.elliptic import _check_residual, _tridiag_factors
     grid = Grid.line(1.0, 24)
     profile = 1.0 + 0.5 * np.cos(np.pi * grid.centers(0))
     b = scale * profile
@@ -131,22 +130,33 @@ def test_residual_check_holds_for_sources_whose_squares_overflow(scale):
     unit = solve_chemical(ScalarField(grid, profile), 1.0, 1.0).values
     assert np.allclose(v / scale, unit, rtol=1e-13, atol=0.0)
     with pytest.raises(SolverFailureError):
-        _check_residual(grid, 1.0, b, v * (1.0 + 1e-5), 1e-10)
+        _check_residual(grid, 1.0, b, v * (1.0 + 1e-5), 1e-10, _tridiag_factors(grid, 1.0)[1])
 
 
 def test_banded_residual_rejects_a_perturbed_solution(monkeypatch):
-    # a 256-cell line checks b - A v with the cached band, not the stencil.
+    # a 256-cell line accepts its solve with the cached band, without the
+    # stencil; a v the band does not accept goes to the stencil's check.
     # v*(1 + d) leaves the residual d*||b||, which the bound rejects only when
     # ||b||/||v|| > d*||A||_inf = 2.6 here: a smooth source's perturbation is
     # within backward error, so the source is the cosine mode of 8 periods
-    from chemotaxsim.elliptic import _check_residual
-    monkeypatch.setattr(elliptic, "apply_operator", None)
+    from chemotaxsim.elliptic import _check_residual, _tridiag_factors
+    stencil_calls = []
+    monkeypatch.setattr(elliptic, "apply_operator",
+                        lambda *args: stencil_calls.append(args) or apply_operator(*args))
     grid = Grid.line(1.0, 256)
+    band = _tridiag_factors(grid, 1.0)[1]
     b = np.cos(16.0 * np.pi * grid.centers(0))
     v = solve_chemical(ScalarField(grid, b), 1.0, 1.0).values
-    _check_residual(grid, 1.0, b, v, 1e-10)
+    _check_residual(grid, 1.0, b, v, 1e-10, band)
+    assert stencil_calls == []
     with pytest.raises(SolverFailureError, match="above tolerance"):
-        _check_residual(grid, 1.0, b, v * (1.0 + 1e-5), 1e-10)
+        _check_residual(grid, 1.0, b, v * (1.0 + 1e-5), 1e-10, band)
+    assert len(stencil_calls) == 1
+    # at 2048 cells the residual exceeds tol*||b||, so the band accepts with
+    # the ||A||_inf term of the bound, and still no stencil runs
+    fine = Grid.line(1.0, 2048)
+    solve_chemical(ScalarField(fine, 1.0 + np.cos(np.pi * fine.centers(0))), 1.0, 1.0)
+    assert len(stencil_calls) == 1
 
 
 @pytest.mark.parametrize("n", [3, 4, 24, 257])

@@ -193,7 +193,8 @@ def test_snapshot_header_layout(tmp_path):
     head = path.read_text().splitlines()[0].split()
     assert head == ["1", "4", "2", "0.25"]
     # empty, header cut short, non-numeric, one value short, one too many,
-    # a non-numeric value, and a header whose grid cannot be allocated
+    # a non-numeric value, and a header asking for more values than the
+    # file's bytes can hold, rejected before anything is allocated
     for text in ("", "1 4", "x", "1 4 2 0.25 1 1 1", "1 4 2 0.25 1 1 1 1 1",
                  "1 4 2 0.25 1 1 x 1", "3 1000000 1000000 1000000 1 1 1 0 1"):
         path.write_text(text)

@@ -1,15 +1,15 @@
 """Best-of-N cost of one full explicit step and of one elliptic solve.
 
-    python tools/step_cost.py [--src DIR ...] [--rounds R] [--target-s S]
+    python tools/step_cost.py [--src DIR ...]
 
 Each ``--src`` (default: this checkout's ``src``) is a directory holding a
 chemotaxsim package.  Every tree is imported into the same process under
 its own module objects, and the timing rounds alternate between the trees,
 so that load on a shared host falls on all of them alike; many short
-rounds (default 15 of about 0.05 s) ride out bursts of load better than a
-few long ones.  Per case the table gives, per tree, the best of R rounds of
-the mean microseconds per call, and for each tree after the first its ratio
-to the first.
+rounds (ROUNDS of about ROUND_S seconds each) ride out bursts of load better
+than a few long ones.  Per case the table gives, per tree, the best of the
+rounds' mean microseconds per call, and for each tree after the first its
+ratio to the first.
 
 A full step is ``stepper.advance`` on one fixed state that is not a
 fixed point: before every call the state's u, v, extrema and time are put
@@ -36,6 +36,8 @@ import numpy as np
 import scipy
 
 PACKAGE = "chemotaxsim"
+ROUNDS = 15  # timing rounds per tree and case
+ROUND_S = 0.05  # approximate seconds per round, which sets the calls per round
 CASES = (("line24", (1.0,), (24,), 3.0, 3.0),  # name, extents, cells, chi, a
          ("line256", (1.0,), (256,), 1.0, 1.0),
          ("box64x64", (1.0, 1.0), (64, 64), 1.0, 1.0))
@@ -103,9 +105,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", action="append",
                         help="directory holding a chemotaxsim package (repeatable; "
                              "default: this checkout's src)")
-    parser.add_argument("--rounds", type=int, default=15, help="timing rounds per tree")
-    parser.add_argument("--target-s", type=float, default=0.05,
-                        help="approximate seconds per round, which sets the calls per round")
     args = parser.parse_args(argv)
     sources = args.src or [str(Path(__file__).resolve().parents[1] / "src")]
     sys.dont_write_bytecode = True
@@ -121,9 +120,9 @@ def main(argv=None) -> int:
     for case in trees[0]:
         loops = [tree[case] for tree in trees]
         per_call = loops[0](max(1, int(0.01 / loops[0](3))))  # warm up and size
-        n = max(1, int(args.target_s / per_call))
+        n = max(1, int(ROUND_S / per_call))
         best = [float("inf")] * len(loops)
-        for _ in range(args.rounds):
+        for _ in range(ROUNDS):
             for i, loop in enumerate(loops):
                 best[i] = min(best[i], loop(n))
         row = f"{case:<16}" + "".join(f"{1e6 * b:>12.2f}" for b in best)
