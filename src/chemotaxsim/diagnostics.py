@@ -23,17 +23,31 @@ HOLDER_SLACK = 1e-12
 
 def lp_norm(f: ScalarField, p: float) -> float:
     """(int f^p)^(1/p); p >= 1, possibly non-integer, f >= 0."""
+    return _lp_norm(f, p, None)
+
+
+def _lp_norm(f: ScalarField, p: float, lo: float | None) -> float:
+    # lo: the minimum of an f known to be finite, or None to check f here
     if p < 1.0:
         raise ParameterError(f"lp_norm needs p >= 1, got {p}")
-    require_finite(f)
-    if f.min() < 0.0:
+    if (_finite_min(f) if lo is None else lo) < 0.0:
         raise ParameterError("lp_norm needs a nonnegative field")
     return float((f.values ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
 
 
+def _finite_min(f: ScalarField) -> float:
+    require_finite(f)
+    return f.min()
+
+
 def rayleigh(v: ScalarField) -> float:
     """The Rayleigh-type monitor int |grad v|^2 / v^2; v > 0."""
-    if v.min() <= 0.0:
+    return _rayleigh(v, v.min())
+
+
+def _rayleigh(v: ScalarField, lo: float) -> float:
+    # lo: the minimum of v; its sign is checked before v's finiteness
+    if lo <= 0.0:
         raise ParameterError("rayleigh needs a positive field")
     vals = cell_gradient_sq(v).values / v.values ** 2.0
     return float(vals.sum() * v.grid.cell_volume)
@@ -41,8 +55,11 @@ def rayleigh(v: ScalarField) -> float:
 
 def log_mass(u: ScalarField) -> float:
     """int ln(u); returns -inf as a degeneracy flag when a cell underflows."""
-    require_finite(u)
-    if u.min() < DEGENERACY_FLOOR:
+    return _log_mass(u, _finite_min(u))
+
+
+def _log_mass(u: ScalarField, lo: float) -> float:
+    if lo < DEGENERACY_FLOOR:
         return -math.inf
     return float(np.log(u.values).sum() * u.grid.cell_volume)
 
@@ -53,10 +70,14 @@ def neg_power(u: ScalarField, p: float) -> float:
     Large p on small densities can saturate double range; the value then
     honestly reports inf rather than warning.
     """
+    return _neg_power(u, p, None)
+
+
+def _neg_power(u: ScalarField, p: float, lo: float | None) -> float:
+    # lo: as for _lp_norm
     if p <= 0.0:
         raise ParameterError(f"neg_power needs p > 0, got {p}")
-    require_finite(u)
-    if u.min() < DEGENERACY_FLOOR:
+    if (_finite_min(u) if lo is None else lo) < DEGENERACY_FLOOR:
         return math.inf
     with np.errstate(over="ignore"):
         return float((u.values ** -p).sum() * u.grid.cell_volume)
@@ -105,19 +126,22 @@ def compute_record(u: ScalarField, v: ScalarField, t: float,
                    p_list: tuple[float, ...] = (),
                    neg_p_list: tuple[float, ...] = (),
                    grad_p: float | None = None) -> DiagnosticsRecord:
+    # one finiteness check per field (the mass's of u, the Rayleigh gradient's
+    # of v) and one min; each column equals and raises as its functional does
     mass = integrate(u)
+    lo_u, lo_v = u.min(), v.min()
     return DiagnosticsRecord(
         t=t,
         mass=mass,
-        min_u=u.min(),
+        min_u=lo_u,
         max_u=u.max(),
-        min_v=v.min(),
+        min_v=lo_v,
         max_v=v.max(),
-        rayleigh=rayleigh(v),
-        log_mass=log_mass(u),
-        v_ratio=v.min() / mass if mass > 0 else math.inf,
-        lp_norms={p: lp_norm(u, p) for p in p_list},
-        neg_powers={p: neg_power(u, p) for p in neg_p_list},
+        rayleigh=_rayleigh(v, lo_v),
+        log_mass=_log_mass(u, lo_u),
+        v_ratio=lo_v / mass if mass > 0 else math.inf,
+        lp_norms={p: _lp_norm(u, p, lo_u) for p in p_list},
+        neg_powers={p: _neg_power(u, p, lo_u) for p in neg_p_list},
         grad_ratio=grad_ratio(u, v, grad_p) if grad_p is not None else None,
     )
 
@@ -141,7 +165,7 @@ def csv_row(rec: DiagnosticsRecord, p_list: tuple[float, ...] = (),
     vals += [rec.neg_powers[p] for p in neg_p_list]
     if grad_p is not None:
         vals.append(rec.grad_ratio if rec.grad_ratio is not None else math.nan)
-    return ",".join(f"{v:.17g}" for v in vals)
+    return ",".join(["%.17g" % v for v in vals])
 
 
 @dataclass(frozen=True)

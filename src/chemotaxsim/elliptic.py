@@ -10,7 +10,9 @@ any dimension, the mirror-ghost closure makes the operator exactly diagonal
 in the grid's own cosine (DCT-II) basis: one matmul per axis takes the
 source there, a division by the eigenvalues solves, and the transposes come
 back.  The check applies the stepper's stencil, :func:`apply_operator`,
-there and to any line solve the banded product does not accept.
+there and to any line solve the banded product does not accept.  Its
+norms also stand for finiteness scans: a source whose ||nu*u|| is not
+finite is scanned before any solve, and a NaN or inf residual rejects v.
 """
 from __future__ import annotations
 
@@ -93,23 +95,22 @@ def _within_bound(res: float, grid: Grid, mu: float, b_norm: float, v: np.ndarra
         (mu + sum(4.0 / h ** 2 for h in grid.spacing)) * blas.dnrm2(v.ravel()) + b_norm))
 
 
-def _check_residual(grid: Grid, mu: float, b: np.ndarray, v: np.ndarray,
+def _check_residual(grid: Grid, mu: float, b: np.ndarray, b_norm: float, v: np.ndarray,
                     rel_tol: float, band: np.ndarray | None = None) -> None:
-    """Backward-error acceptance ||b - Av|| <= tol*(||A||_inf*||v|| + ||b||).
+    """Backward-error acceptance ||b - Av|| <= tol*(||A||_inf*||v|| + b_norm).
 
     The roundoff in any float64 solve is of order eps*||A||*||v||, and
     ||A||_inf = mu + sum_ax 4/h_ax^2 grows like h^-2, so a test relative to
     ||b|| alone becomes unattainable on fine grids.  A NaN or inf residual
     (v or the source overflowed) fails before any bound, which could itself
-    be inf, so an accepted v is finite.  BLAS nrm2 scales as it sums, so no
-    norm overflows while its entries are finite.
+    be inf, so an accepted v is finite.  BLAS nrm2 scales as it sums, so a
+    norm of finite entries overflows only when its value does.
 
     A line's ``band`` (see :func:`_tridiag_factors`) accepts the usual solve
     in one BLAS banded product; what it does not accept is judged, and
     reported, with the stepper's stencil, as on every other grid."""
-    b_norm = blas.dnrm2(b.ravel())
-    if band is not None and _within_bound(blas.dnrm2(blas.dgbmv(
-            b.size, b.size, 1, 1, -1.0, band, v, beta=1.0, y=b)), grid, mu, b_norm, v, rel_tol):
+    if band is not None and _within_bound(blas.dnrm2(blas.dgbmv(  # y = b - A v; f2py parses positions faster
+            b.size, b.size, 1, 1, -1.0, band, v, 1, 0, 1.0, b)), grid, mu, b_norm, v, rel_tol):
         return
     res = blas.dnrm2((b - apply_operator(grid, mu, v)).ravel())
     if not res < math.inf:
@@ -127,7 +128,10 @@ def solve_chemical(u: ScalarField, mu: float, nu: float,
     cosine-basis solve keeps that only up to roundoff of order eps*max(v), so
     where v is that small it can come out at or below zero; the stepper's
     v_floor check catches it.  The sign of u is the caller's obligation;
-    manufactured-solution tests legitimately pass sign-changing u.
+    manufactured-solution tests legitimately pass sign-changing u.  A NaN
+    or inf in u raises CorruptFieldError before any solve; u is scanned only
+    when ||nu*u||_2, taken for the residual check, is not finite, as BLAS
+    nrm2 makes it when any entry is.
 
     Raises SolverFailureError when the backward-error target
     ||b - A v||_2 <= rel_tolerance * (||A||_inf ||v||_2 + ||b||_2) is not met.
@@ -136,9 +140,11 @@ def solve_chemical(u: ScalarField, mu: float, nu: float,
         raise ParameterError(f"mu must be positive and finite, got {mu}")
     if not 0 < nu < math.inf:
         raise ParameterError(f"nu must be positive and finite, got {nu}")
-    require_finite(u, "chemical source")
     grid = u.grid
     b = nu * u.values
+    b_norm = blas.dnrm2(b.ravel())
+    if not b_norm < math.inf:
+        require_finite(u, "chemical source")
     band = None
     if grid.dim == 1 and grid.num_cells > 2:
         lu, band = _tridiag_factors(grid, mu)
@@ -148,5 +154,5 @@ def solve_chemical(u: ScalarField, mu: float, nu: float,
     else:  # into the cosine basis, divide by the eigenvalues, back
         mats, lam = _cosine_basis(grid, mu)
         v = _along_axes(_along_axes(b, mats) / lam, [q.T for q in mats])
-    _check_residual(grid, mu, b, v, cfg.rel_tolerance, band)
+    _check_residual(grid, mu, b, b_norm, v, cfg.rel_tolerance, band)
     return ScalarField(grid, v)

@@ -209,12 +209,12 @@ def write_snapshot(f: ScalarField, t: float, path) -> None:
     grid = f.grid
     head = [str(grid.dim)] + [str(n) for n in grid.cells]
     head += [f"{e:.17g}" for e in grid.extents] + [f"{t:.17g}"]
-    # one last-axis row at a time, so the file's text is never held whole;
-    # Python floats format faster than numpy scalars, to the same text
+    # one last-axis row at a time, so the file's text is never held whole
+    line = "%.17g\n" * grid.cells[-1]  # over Python floats: format(v, ".17g")
     with Path(path).open("w") as fh:
         fh.write(" ".join(head) + "\n")
         for row in f.values.reshape(-1, grid.cells[-1]):
-            fh.write("\n".join([f"{v:.17g}" for v in row.tolist()]) + "\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_snapshot(path) -> tuple[ScalarField, float]:

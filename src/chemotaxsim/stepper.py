@@ -281,9 +281,9 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
     TimestepCollapseError (dt below dt_min), SolverFailureError
     (elliptic).  The state is assigned only after the new pair passes every
     check, so on any of them it still holds the last consistent (u, V(u))
-    pair.  The solve's source check is the step's one finiteness pass: the
-    positivity and u_ceiling tests reject a NaN or inf u_new first, and the
-    solve's residual check rejects a non-finite v.
+    pair.  No pass scans u_new for NaN: a NaN or -inf cell fails the
+    positivity test at every dt and an inf one the u_ceiling test, before the
+    solve, which reads finiteness from its source and residual norms.
 
     Replay: when a full step was uncapped (its guard dt <= dt_cap), both
     coefficients have omega == 0, and u_new and V(u_new) equal u and v

@@ -6,7 +6,7 @@ import pytest
 from chemotaxsim import diagnostics as diag
 from chemotaxsim.checks import reverse_holder_violations
 from chemotaxsim.elliptic import solve_chemical
-from chemotaxsim.errors import ParameterError
+from chemotaxsim.errors import CorruptFieldError, ParameterError
 from chemotaxsim.mesh import Grid, ScalarField, cell_gradient_sq, integrate
 from chemotaxsim.regimes import beta_window
 
@@ -215,3 +215,96 @@ def test_compute_record_from_solver_state():
     assert rec.v_ratio == pytest.approx(rec.min_v / rec.mass)
     assert set(rec.lp_norms) == {2.0, 3.0}
     assert math.isfinite(rec.neg_powers[2.0])
+
+
+def test_compute_record_error_precedence():
+    grid = Grid.line(1.0, 16)
+    ones = np.ones(16)
+    u_bad, u_neg, v_low = ones.copy(), ones.copy(), ones.copy()
+    u_bad[3], u_neg[5], v_low[2] = math.nan, -1.0, 0.0
+    v_low_inf = v_low.copy()
+    v_low_inf[9] = math.inf
+
+    def record(u, v, **kw):
+        return diag.compute_record(ScalarField(grid, u), ScalarField(grid, v), 0.0, **kw)
+    # a non-finite u first, before any check of v or of an exponent
+    with pytest.raises(CorruptFieldError):
+        record(u_bad, v_low_inf, p_list=(0.5,), neg_p_list=(0.0,), grad_p=1.5)
+    # a v with a cell at or below 0 next, before v's finiteness
+    for v in (v_low, v_low_inf):
+        with pytest.raises(ParameterError, match="^rayleigh needs a positive field$"):
+            record(u_neg, v, p_list=(0.5,), neg_p_list=(0.0,), grad_p=1.5)
+    # then p_list, in order, each p before the sign of u; then the
+    # negative powers, then grad_p
+    with pytest.raises(ParameterError, match="^lp_norm needs p >= 1, got 0.5$"):
+        record(u_neg, ones, p_list=(0.5, 2.0), neg_p_list=(0.0,), grad_p=1.5)
+    with pytest.raises(ParameterError, match="^lp_norm needs a nonnegative field$"):
+        record(u_neg, ones, p_list=(2.0, 0.5), neg_p_list=(0.0,), grad_p=1.5)
+    with pytest.raises(ParameterError, match="^neg_power needs p > 0, got 0.0$"):
+        record(u_neg, ones, neg_p_list=(1.0, 0.0), grad_p=1.5)
+    with pytest.raises(ParameterError, match="^grad_ratio needs 1 < p < dim=1, got 1.5$"):
+        record(u_neg, ones, neg_p_list=(1.0,), grad_p=1.5)
+    # a negative u with no p_list is a degeneracy flag, not an error
+    rec = record(u_neg, ones, neg_p_list=(2.0,))
+    assert (rec.log_mass, rec.neg_powers[2.0]) == (-math.inf, math.inf)
+
+
+def _record_cases():
+    line = Grid.line(1.0, 64)
+    box = Grid.box(1.5, 1.0, 12, 10)
+    x = line.centers(0)
+    yield "1d", ScalarField(line, 1.0 + 0.5 * np.sin(2 * np.pi * x)), None
+    yield "2d", ScalarField.from_function(box, lambda x, y: 1.0 + x * y), 1.5
+    # a narrow bump on a zero baseline: cells at and below DEGENERACY_FLOOR
+    yield "underflow", ScalarField(line, 50.0 * np.exp(-((x - 0.3) / 0.01) ** 2)), None
+
+
+@pytest.mark.parametrize("name, u, grad_p", list(_record_cases()),
+                         ids=[case[0] for case in _record_cases()])
+def test_record_fields_equal_the_public_functionals_bit_for_bit(name, u, grad_p):
+    v = solve_chemical(u, 1.0, 1.0)
+    p_list, neg_p_list = (1.0, 2.0, 3.5), (2.0, 8.0)
+    rec = diag.compute_record(u, v, 0.5, p_list, neg_p_list, grad_p)
+    mass = integrate(u)
+    expected = {"mass": mass, "min_u": u.min(), "max_u": u.max(), "min_v": v.min(),
+                "max_v": v.max(), "rayleigh": diag.rayleigh(v), "log_mass": diag.log_mass(u),
+                "v_ratio": v.min() / mass,
+                "grad_ratio": diag.grad_ratio(u, v, grad_p) if grad_p else None}
+    expected.update({f"lp_{p}": diag.lp_norm(u, p) for p in p_list})
+    expected.update({f"negpow_{p}": diag.neg_power(u, p) for p in neg_p_list})
+    got = {key: getattr(rec, key) for key in expected if hasattr(rec, key)}
+    got.update({f"lp_{p}": rec.lp_norms[p] for p in p_list})
+    got.update({f"negpow_{p}": rec.neg_powers[p] for p in neg_p_list})
+    assert {k: repr(val) for k, val in got.items()} == {k: repr(val) for k, val in expected.items()}
+    if name == "underflow":
+        assert rec.log_mass == -math.inf and rec.neg_powers[8.0] == math.inf
+
+
+def test_a_record_checks_each_field_once(monkeypatch):
+    from chemotaxsim import mesh
+    checked = []
+
+    def require_finite(f, what="field"):
+        checked.append(f)
+        return original(f, what)
+    original = mesh.require_finite
+    for module in (mesh, diag):
+        monkeypatch.setattr(module, "require_finite", require_finite)
+    g = Grid.line(1.0, 256)
+    u = ScalarField.from_function(g, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    v = solve_chemical(u, 1.0, 1.0)
+    checked.clear()
+    diag.compute_record(u, v, 0.0, (2.0, 3.0, 4.0), (8.0,))
+    assert len(checked) == 2 and checked[0] is u and checked[1] is v
+
+
+def test_row_values_are_formatted_as_format_17g(tmp_path):
+    from chemotaxsim.mesh import write_snapshot
+    vals = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0]
+    rec = diag.DiagnosticsRecord(*vals, 2.5, lp_norms={2.0: 1e-300}, neg_powers={8.0: -1e300})
+    row = diag.csv_row(rec, (2.0,), (8.0,), 1.5)
+    expected = vals + [2.5, 1e-300, -1e300, math.nan]
+    assert row == ",".join(format(v, ".17g") for v in expected)
+    path = tmp_path / "row.field"
+    write_snapshot(ScalarField(Grid.box(1.0, 1.0, 2, 4), np.reshape(vals, (2, 4))), 0.0, path)
+    assert path.read_text().splitlines()[1:] == [format(v, ".17g") for v in vals]

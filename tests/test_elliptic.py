@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.linalg.blas import dgbmv, dnrm2
 from chemotaxsim import elliptic
 from chemotaxsim.checks import mean_identity_defect, mms_error
 from chemotaxsim.elliptic import EllipticConfig, apply_operator, solve_chemical
-from chemotaxsim.errors import ParameterError, SolverFailureError
+from chemotaxsim.errors import CorruptFieldError, ParameterError, SolverFailureError
 from chemotaxsim.mesh import (Grid, ScalarField, divergence, face_gradient,
                               integrate)
 
@@ -101,9 +102,62 @@ def test_non_finite_solution_fails_the_residual_check(grid):
     one_inf.flat[3] = np.inf
     for v in (np.full(grid.shape, np.nan), one_inf):
         with pytest.raises(SolverFailureError):
-            _check_residual(grid, 1.0, ones, v, 1e-10, band)
+            _check_residual(grid, 1.0, ones, dnrm2(ones.ravel()), v, 1e-10, band)
     with pytest.raises(SolverFailureError):  # nu*u overflows to inf
         solve_chemical(ScalarField.full(grid, 10.0), 1.0, 1e308)
+
+
+@pytest.mark.parametrize("grid", [Grid.line(1.0, 24), Grid.line(1.0, 2), Grid.box(1.0, 1.0, 6, 5)],
+                         ids=["lu", "line2", "box"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_source_raises_before_any_solve(grid, bad, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a non-finite source")
+    for name in ("_along_axes", "_check_residual", "_tridiag_factors"):
+        monkeypatch.setattr(elliptic, name, no_solve)
+    for cell in (0, grid.num_cells // 2, grid.num_cells - 1):
+        vals = np.ones(grid.shape)
+        vals.flat[cell] = bad
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CorruptFieldError,
+                               match="^chemical source contains non-finite values$"):
+                solve_chemical(ScalarField(grid, vals), 1.0, 2.0)
+        assert caught == []
+
+
+@pytest.mark.parametrize("grid", [Grid.line(1.0, 24), Grid.line(1.0, 2), Grid.box(1.0, 1.0, 6, 5)],
+                         ids=["lu", "line2", "box"])
+def test_finite_source_whose_norm_overflows_keeps_its_outcome(grid):
+    # every entry is finite, but nu*u or ||nu*u|| is not: such a source is
+    # solved and then rejected by its residual, and only an overflowing
+    # nu*u warns of the product
+    x = grid.coordinate_fields()[0]
+    cases = {"nu*u overflows": (np.full(grid.shape, 10.0), 1e308),
+             "constant": (np.full(grid.shape, 1.5e308), 1.0),
+             "cosine": (1.3e308 * (1.0 + 0.3 * np.cos(np.pi * x)), 1.0)}
+    for name, (u, nu) in cases.items():
+        with np.errstate(over="ignore"):
+            assert np.isfinite(u).all() and not math.isfinite(dnrm2(nu * u.ravel()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolverFailureError, match="^elliptic solve residual is nan$"):
+                solve_chemical(ScalarField(grid, u), 1.0, nu)
+        overflows = [w for w in caught if str(w.message) == "overflow encountered in multiply"]
+        assert len(overflows) == (name == "nu*u overflows"), name
+
+
+def test_dnrm2_is_not_finite_when_one_entry_is_not():
+    # the solve reads its source's finiteness from this norm, and the residual
+    # check rejects a non-finite v by it
+    for n in range(1, 301):
+        for base in (1.0, 1e300):  # BLAS nrm2 scales its sum of squares
+            for bad in (math.nan, math.inf, -math.inf):
+                x = np.full(n, base)
+                for cell in range(n):
+                    x[cell] = bad
+                    assert not math.isfinite(dnrm2(x)), (n, base, bad, cell)
+                    x[cell] = base
 
 
 def test_random_source_meets_residual_test_at_fine_resolution():
@@ -130,7 +184,8 @@ def test_residual_check_holds_for_sources_whose_squares_overflow(scale):
     unit = solve_chemical(ScalarField(grid, profile), 1.0, 1.0).values
     assert np.allclose(v / scale, unit, rtol=1e-13, atol=0.0)
     with pytest.raises(SolverFailureError):
-        _check_residual(grid, 1.0, b, v * (1.0 + 1e-5), 1e-10, _tridiag_factors(grid, 1.0)[1])
+        _check_residual(grid, 1.0, b, dnrm2(b), v * (1.0 + 1e-5), 1e-10,
+                        _tridiag_factors(grid, 1.0)[1])
 
 
 def test_banded_residual_rejects_a_perturbed_solution(monkeypatch):
@@ -147,10 +202,10 @@ def test_banded_residual_rejects_a_perturbed_solution(monkeypatch):
     band = _tridiag_factors(grid, 1.0)[1]
     b = np.cos(16.0 * np.pi * grid.centers(0))
     v = solve_chemical(ScalarField(grid, b), 1.0, 1.0).values
-    _check_residual(grid, 1.0, b, v, 1e-10, band)
+    _check_residual(grid, 1.0, b, dnrm2(b), v, 1e-10, band)
     assert stencil_calls == []
     with pytest.raises(SolverFailureError, match="above tolerance"):
-        _check_residual(grid, 1.0, b, v * (1.0 + 1e-5), 1e-10, band)
+        _check_residual(grid, 1.0, b, dnrm2(b), v * (1.0 + 1e-5), 1e-10, band)
     assert len(stencil_calls) == 1
     # at 2048 cells the residual exceeds tol*||b||, so the band accepts with
     # the ||A||_inf term of the bound, and still no stencil runs

@@ -457,9 +457,10 @@ def test_failed_solve_leaves_state_unchanged(monkeypatch):
 @pytest.mark.parametrize("grid", [Grid.line(1.0, 24), Grid.box(1.0, 1.0, 12, 10)],
                          ids=["1d", "2d"])
 def test_accepted_step_checks_finiteness_once_and_solves_once(grid, monkeypatch):
-    # the accepted step's one finiteness pass is on the solve's source; the
-    # positivity and u_ceiling tests and the NaN-safe residual check cover
-    # the rest
+    # the one finiteness check is the source norm that the solve takes for
+    # its residual check, so an accepted step makes no require_finite pass:
+    # the positivity and u_ceiling tests reject a non-finite update first
+    # (see below), and the NaN-safe residual check rejects a non-finite v
     params = constant_params(chi=2.0)
     state = initial_state(ScalarField.from_function(
         grid, lambda *xs: 1.0 + 0.5 * np.cos(np.pi * xs[0])), params)
@@ -480,8 +481,32 @@ def test_accepted_step_checks_finiteness_once_and_solves_once(grid, monkeypatch)
     for step in (1, 2):  # the second step reuses the first one's coefficients
         advance(state)
         assert state.step == step
-        assert calls == {"require_finite": step, "solve_chemical": step,
-                         "_check_residual": step}
+        assert calls == {"solve_chemical": step, "_check_residual": step}
+
+
+@pytest.mark.parametrize("bad, error", [(math.nan, TimestepCollapseError),
+                                        (-math.inf, TimestepCollapseError),
+                                        (math.inf, FieldOverflowError)],
+                         ids=["nan", "-inf", "inf"])
+def test_a_non_finite_update_is_rejected_before_the_solve(bad, error, monkeypatch):
+    # a NaN or -inf cell fails the positivity test at every dt and halves to
+    # dt_min; +inf passes it and trips the ceiling, even u_ceiling=inf
+    grid = Grid.line(1.0, 24)
+    state = initial_state(ScalarField.full(grid, 1.0), constant_params(chi=2.0),
+                          cfg=StepperConfig(u_ceiling=math.inf))
+    u = state.u
+
+    def explicit_rhs(*args):
+        rhs = np.zeros(grid.shape)
+        rhs[7] = bad
+        return rhs
+    monkeypatch.setattr(stepper, "_explicit_rhs", explicit_rhs)
+    solves = []
+    monkeypatch.setattr(stepper, "solve_chemical", lambda *args: solves.append(args))
+    with pytest.raises(error):
+        advance(state)
+    assert solves == []
+    assert state.u is u and (state.t, state.step) == (0.0, 0)
 
 
 # --- linear stability about the constant state ---------------------------------

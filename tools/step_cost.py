@@ -1,4 +1,5 @@
-"""Best-of-N cost of one full explicit step and of one elliptic solve.
+"""Best-of-N cost of one full explicit step, of one elliptic solve and of
+one diagnostics record.
 
     python tools/step_cost.py [--src DIR ...]
 
@@ -17,6 +18,8 @@ back, so every call builds the drift, proposes dt, updates, solves and
 checks, and none replays.  Cases: a 24-cell line with criterion 07's
 chi=3, a=3 (one benchmark cell), a 256-cell line and a 64x64 box, each
 with a Gaussian bump; ``solve_chemical`` is timed on the same densities.
+``compute_record`` is timed on the 256-cell line's state with
+dense_output_256's ``p_list`` (2, 3, 4) and negative power 8.
 
 Compare a change with its parent::
 
@@ -41,22 +44,24 @@ ROUND_S = 0.05  # approximate seconds per round, which sets the calls per round
 CASES = (("line24", (1.0,), (24,), 3.0, 3.0),  # name, extents, cells, chi, a
          ("line256", (1.0,), (256,), 1.0, 1.0),
          ("box64x64", (1.0, 1.0), (64, 64), 1.0, 1.0))
+RECORD_CASE = "line256"  # dense_output_256 records every step with these exponents
+RECORD_P_LIST, RECORD_NEG_P_LIST = (2.0, 3.0, 4.0), (8.0,)
 
 
 def import_tree(src: str) -> dict:
-    """The stepper, elliptic and mesh modules of the package under ``src``,
-    imported afresh; the package is dropped from sys.modules afterwards, so
-    the next tree imports its own."""
+    """The stepper, elliptic, mesh and diagnostics modules of the package
+    under ``src``, imported afresh; the package is dropped from sys.modules
+    afterwards, so the next tree imports its own."""
     for name in [m for m in sys.modules if m == PACKAGE or m.startswith(PACKAGE + ".")]:
         del sys.modules[name]
     sys.path.insert(0, str(Path(src).resolve()))
     try:
-        from chemotaxsim import elliptic, mesh, stepper
+        from chemotaxsim import diagnostics, elliptic, mesh, stepper
     finally:
         del sys.path[0]
         for name in [m for m in sys.modules if m == PACKAGE or m.startswith(PACKAGE + ".")]:
             del sys.modules[name]
-    return {"stepper": stepper, "elliptic": elliptic, "mesh": mesh}
+    return {"stepper": stepper, "elliptic": elliptic, "mesh": mesh, "diagnostics": diagnostics}
 
 
 def make_callables(tree: dict) -> dict:
@@ -72,7 +77,10 @@ def make_callables(tree: dict) -> dict:
                                      stepper.CoefficientSpec.constant(1.0))
         state = stepper.initial_state(u, params)
         out[f"step {name}"] = _step_loop(stepper.advance, state)
-        out[f"solve {name}"] = _solve_loop(elliptic.solve_chemical, u)
+        out[f"solve {name}"] = _call_loop(elliptic.solve_chemical, u, 1.0, 1.0)
+        if name == RECORD_CASE:
+            out[f"record {name}"] = _call_loop(tree["diagnostics"].compute_record, state.u,
+                                               state.v, 0.0, RECORD_P_LIST, RECORD_NEG_P_LIST)
     return out
 
 
@@ -90,12 +98,12 @@ def _step_loop(advance, state):
     return loop
 
 
-def _solve_loop(solve, u):
+def _call_loop(fn, *args):
     def loop(n: int) -> float:
         clock = time.perf_counter
         t0 = clock()
         for _ in range(n):
-            solve(u, 1.0, 1.0)
+            fn(*args)
         return (clock() - t0) / n
     return loop
 
