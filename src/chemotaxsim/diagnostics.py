@@ -9,6 +9,8 @@ return -inf/+inf flags instead of raising.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,10 +148,13 @@ def compute_record(u: ScalarField, v: ScalarField, t: float,
     )
 
 
+# diagnostics.csv's leading columns: DiagnosticsRecord's first fields, in order
+COLUMNS = ("t", "mass", "min_u", "max_u", "min_v", "max_v", "rayleigh", "log_mass", "v_ratio")
+
+
 def csv_header(p_list: tuple[float, ...] = (), neg_p_list: tuple[float, ...] = (),
                grad_p: float | None = None) -> str:
-    cols = ["t", "mass", "min_u", "max_u", "min_v", "max_v", "rayleigh",
-            "log_mass", "v_ratio"]
+    cols = list(COLUMNS)
     cols += [f"lp_{p:g}" for p in p_list]
     cols += [f"negpow_{p:g}" for p in neg_p_list]
     if grad_p is not None:
@@ -157,15 +162,63 @@ def csv_header(p_list: tuple[float, ...] = (), neg_p_list: tuple[float, ...] = (
     return ",".join(cols)
 
 
-def csv_row(rec: DiagnosticsRecord, p_list: tuple[float, ...] = (),
-            neg_p_list: tuple[float, ...] = (), grad_p: float | None = None) -> str:
-    vals = [rec.t, rec.mass, rec.min_u, rec.max_u, rec.min_v, rec.max_v,
-            rec.rayleigh, rec.log_mass, rec.v_ratio]
+def _values(rec: DiagnosticsRecord, p_list: tuple[float, ...], neg_p_list: tuple[float, ...],
+            grad_p: float | None) -> list[float]:
+    """A record's values in diagnostics.csv's column order."""
+    vals = [getattr(rec, name) for name in COLUMNS]
     vals += [rec.lp_norms[p] for p in p_list]
     vals += [rec.neg_powers[p] for p in neg_p_list]
     if grad_p is not None:
         vals.append(rec.grad_ratio if rec.grad_ratio is not None else math.nan)
+    return vals
+
+
+def _format_row(vals: Sequence[float]) -> str:
     return ",".join(["%.17g" % v for v in vals])
+
+
+def csv_row(rec: DiagnosticsRecord, p_list: tuple[float, ...] = (),
+            neg_p_list: tuple[float, ...] = (), grad_p: float | None = None) -> str:
+    return _format_row(_values(rec, p_list, neg_p_list, grad_p))
+
+
+class RecordSeries(Sequence):
+    """A run's records as one ``array("d")`` of rows in diagnostics.csv's column
+    order, 8 bytes a value.  Indexing rebuilds DiagnosticsRecords equal to the
+    appended ones bit for bit, with ``grad_ratio`` None exactly when ``grad_p`` is."""
+
+    def __init__(self, p_list: tuple[float, ...], neg_p_list: tuple[float, ...],
+                 grad_p: float | None):
+        self.p_list, self.neg_p_list, self.grad_p = p_list, neg_p_list, grad_p
+        self.width = len(COLUMNS) + len(p_list) + len(neg_p_list) + (grad_p is not None)
+        self._rows = array("d")
+
+    def append(self, rec: DiagnosticsRecord) -> None:
+        self._rows.extend(_values(rec, self.p_list, self.neg_p_list, self.grad_p))
+
+    def __len__(self) -> int:
+        return len(self._rows) // self.width
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # negative indices from the end; IndexError past either end
+        vals = self._rows[i * self.width:(i + 1) * self.width].tolist()
+        neg = len(COLUMNS) + len(self.p_list)
+        return DiagnosticsRecord(*vals[:len(COLUMNS)], dict(zip(self.p_list, vals[len(COLUMNS):])),
+                                 dict(zip(self.neg_p_list, vals[neg:])),
+                                 vals[-1] if self.grad_p is not None else None)
+
+    def column(self, name: str) -> array:
+        """One of COLUMNS, or ``"grad_ratio"`` when the series has a grad_p."""
+        grad = name == "grad_ratio" and self.grad_p is not None
+        return self._rows[self.width - 1 if grad else COLUMNS.index(name)::self.width]
+
+    def write_csv(self, fh) -> None:
+        """diagnostics.csv row by row: csv_header, then each record's csv_row text."""
+        fh.write(csv_header(self.p_list, self.neg_p_list, self.grad_p) + "\n")
+        for start in range(0, len(self._rows), self.width):
+            fh.write(_format_row(self._rows[start:start + self.width]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -189,23 +242,22 @@ class PersistenceCheck:
     v_floor: float
 
 
-def check_persistence(series: list[DiagnosticsRecord], mass_floor: float,
+def check_persistence(mass: Sequence[float], min_v: Sequence[float], mass_floor: float,
                       v_floor: float) -> PersistenceCheck:
-    """Mass and chemical minimum stay above strictly positive floors."""
+    """The mass and min_v columns stay above strictly positive floors."""
     if mass_floor <= 0 or v_floor <= 0:
         raise ParameterError("persistence floors must be positive")
-    min_mass = min(r.mass for r in series)
-    min_min_v = min(r.min_v for r in series)
+    min_mass = min(mass)
+    min_min_v = min(min_v)
     ok = min_mass >= mass_floor and min_min_v >= v_floor
     return PersistenceCheck(ok, min_mass, min_min_v, mass_floor, v_floor)
 
 
-def trend_floors(series: list[DiagnosticsRecord]) -> tuple[float, float]:
-    """Self-referential persistence floors: half the minima over the first
-    half of the series, to be enforced on the second half."""
-    half = max(1, len(series) // 2)
-    head = series[:half]
-    return (0.5 * min(r.mass for r in head), 0.5 * min(r.min_v for r in head))
+def trend_floors(mass: Sequence[float], min_v: Sequence[float]) -> tuple[float, float]:
+    """Self-referential persistence floors: half the mass and min_v columns'
+    minima over their first half, to be enforced on the second half."""
+    half = max(1, len(mass) // 2)
+    return (0.5 * min(mass[:half]), 0.5 * min(min_v[:half]))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (ConfigError, DegeneracyError, FieldOverflowError,
 from .mesh import Grid, ScalarField, integrate, write_snapshot
 from .regimes import ThresholdVerdict, beta_window, boundedness_threshold
 from .stepper import (DEFAULT_STEPPER, CoefficientSpec, ModelParams,
-                      SimState, StepperConfig, advance, initial_state)
+                      StepperConfig, advance, initial_state)
 
 VERDICT_BOUNDED = "CompletedBounded"
 VERDICT_GROWING = "CompletedGrowing"
@@ -146,7 +146,7 @@ class RunOutcome:
     steps: int
     peak_max_u: float
     min_min_v: float
-    records: list[diag.DiagnosticsRecord]
+    records: diag.RecordSeries
     summary: dict = field(default_factory=dict)
     diagnostics_path: str | None = None
     summary_path: str | None = None
@@ -264,10 +264,9 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
 
 # --- single run ---------------------------------------------------------------
 
-def _classify(records: list[diag.DiagnosticsRecord]) -> str:
-    """Tail-trend heuristic: bounded iff the final third of max_u stays
-    within CLASSIFY_FACTOR times the middle third's peak."""
-    maxes = [r.max_u for r in records]
+def _classify(maxes) -> str:
+    """Tail-trend heuristic on the max_u column: bounded iff its final third
+    stays within CLASSIFY_FACTOR times the middle third's peak."""
     n = len(maxes)
     middle = maxes[n // 3:max(2 * n // 3, n // 3 + 1)]
     final = maxes[2 * n // 3:]
@@ -314,13 +313,8 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
     neg_p = _monitored_neg_p(thr)
     u0 = build_ic(config.grid, config.ic, default_seed=config.seed)
 
-    def record_of(state: SimState) -> diag.DiagnosticsRecord:
-        return diag.compute_record(state.u, state.v, state.t,
-                                   p_list=config.p_list, neg_p_list=neg_p,
-                                   grad_p=config.grad_p)
-
     trigger = failure = None
-    records: list[diag.DiagnosticsRecord] = []
+    records = diag.RecordSeries(config.p_list, neg_p, config.grad_p)
     eps_t = 1e-12 * max(1.0, config.t_end)
     cadence = config.cadence
     k_diag = 0
@@ -337,7 +331,8 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
             min_v = min(min_v, state.v_min)
             done = config.t_end - state.t <= eps_t
             if done or state.t + eps_t >= k_diag * cadence:
-                records.append(record_of(state))
+                records.append(diag.compute_record(state.u, state.v, state.t, config.p_list,
+                                                   neg_p, config.grad_p))
                 k_diag = _next_point(state.t, cadence)
             if snapdir is not None and state.t + eps_t >= k_snap * config.snapshot_every:
                 write_snapshot(state.u, state.t, snapdir / f"t{n_snap}.field")
@@ -346,7 +341,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
             if done:
                 break
             advance(state, dt_cap=config.t_end - state.t)
-        verdict = _classify(records)
+        verdict = _classify(records.column("max_u"))
     except tuple(TRIGGER_OF) as err:
         trigger, failure, verdict = TRIGGER_OF[type(err)], str(err), VERDICT_BLOWUP
         if isinstance(err, FieldOverflowError) and math.isfinite(err.max_u):
@@ -362,11 +357,8 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
     outcome.summary = _summarize(config, outcome, neg_p, thr)
     if out is not None:
         diag_path = out / "diagnostics.csv"
-        # row by row, so the file's text is never held whole next to the records
         with diag_path.open("w") as fh:
-            fh.write(diag.csv_header(config.p_list, neg_p, config.grad_p) + "\n")
-            for r in records:
-                fh.write(diag.csv_row(r, config.p_list, neg_p, config.grad_p) + "\n")
+            records.write_csv(fh)
         summary_path = out / "summary.json"
         summary_path.write_text(json.dumps(_json_safe(outcome.summary), indent=2) + "\n")
         outcome.diagnostics_path = str(diag_path)
@@ -391,32 +383,34 @@ def _summarize(config: RunConfig, outcome: RunOutcome, neg_p, thr: ThresholdVerd
         "regime": _regime_label(thr),
     }
     if records:
-        mstar = diag.m_star(records[0].mass, a.sup, b.inf, measure)
-        check = diag.check_mass_bound(max(records, key=lambda r: r.mass), mstar)
+        mass = records.column("mass")
+        mstar = diag.m_star(mass[0], a.sup, b.inf, measure)
+        check = diag.check_mass_bound(records[mass.index(max(mass))], mstar)
         summary["mass_bound"] = {"m_star": mstar, "worst_mass": check.value,
                                  "bound": check.bound, "passed": check.passed}
-        rmax = max(r.rayleigh for r in records)
+        rmax = max(records.column("rayleigh"))
         summary["rayleigh"] = {"max_value": rmax, "bound": params.mu * measure,
                                "max_ratio": rmax / (params.mu * measure)}
         if len(records) >= 4 and trigger is None:
-            floors = diag.trend_floors(records)
-            tail = records[len(records) // 2:]
-            summary["persistence"] = asdict(diag.check_persistence(tail, *floors))
+            min_v = records.column("min_v")
+            half = len(records) // 2
+            summary["persistence"] = asdict(diag.check_persistence(
+                mass[half:], min_v[half:], *diag.trend_floors(mass, min_v)))
         else:
             summary["persistence"] = {"passed": trigger is None and bool(records)}
         min_slope = None  # `<` keeps the first of equal minima (0.0 before -0.0), as min() does
-        for prev, rec in itertools.pairwise(records):
-            if rec.t > prev.t:
-                slope = (rec.log_mass - prev.log_mass) / (rec.t - prev.t)
+        series = zip(records.column("t"), records.column("log_mass"))
+        for (t_prev, lm_prev), (t, lm) in itertools.pairwise(series):
+            if t > t_prev:
+                slope = (lm - lm_prev) / (t - t_prev)
                 if math.isfinite(slope) and (min_slope is None or slope < min_slope):
                     min_slope = slope
         summary["log_mass_trend"] = {
             "min_slope": min_slope,
             "c_obs": max(0.0, -min_slope) if min_slope is not None else None,
         }
-        ratios = [r.grad_ratio for r in records if r.grad_ratio is not None]
-        if ratios:
-            summary["grad_ratio_max"] = max(ratios)
+        if config.grad_p is not None:
+            summary["grad_ratio_max"] = max(records.column("grad_ratio"))
     return summary
 
 

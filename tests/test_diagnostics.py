@@ -1,4 +1,7 @@
 import math
+import pickle
+import struct
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -129,23 +132,17 @@ def test_m_star_and_mass_bound_check():
     assert not check.passed and check.value > check.bound
 
 
-def _series(masses, vs):
-    return [diag.DiagnosticsRecord(t=float(i), mass=m, min_u=0.1, max_u=1.0,
-                                   min_v=v, max_v=1.0, rayleigh=0.0,
-                                   log_mass=0.0, v_ratio=v / m)
-            for i, (m, v) in enumerate(zip(masses, vs))]
-
-
 def test_check_persistence_and_trend_floors():
-    series = _series([1.0, 0.9, 0.8, 0.8], [0.5, 0.45, 0.4, 0.4])
-    ok = diag.check_persistence(series, 0.5, 0.2)
+    # both read the mass and min_v columns
+    mass, min_v = [1.0, 0.9, 0.8, 0.8], [0.5, 0.45, 0.4, 0.4]
+    ok = diag.check_persistence(mass, min_v, 0.5, 0.2)
     assert ok.passed
-    bad = diag.check_persistence(series, 0.85, 0.2)
+    bad = diag.check_persistence(mass, min_v, 0.85, 0.2)
     assert not bad.passed
-    floors = diag.trend_floors(series)
+    floors = diag.trend_floors(mass, min_v)
     assert floors == (0.45, 0.225)
     with pytest.raises(ParameterError):
-        diag.check_persistence(series, 0.0, 0.1)
+        diag.check_persistence(mass, min_v, 0.0, 0.1)
 
 
 def test_reverse_holder_equality_case():
@@ -202,6 +199,63 @@ def test_csv_header_and_row_are_stable():
     assert row.split(",")[0] == "0.5"
     assert row.split(",")[-1] == "42"
     assert len(row.split(",")) == len(header.split(","))
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# two NaN payloads, both signs of zero and infinity, and the double range's ends
+SPECIAL = [-0.0, math.inf, -math.inf, _double(0x7FF8000000000001), _double(0xFFF80000DEADBEEF),
+           5e-324, 1.7976931348623157e308, 0.1, 0.0]
+
+
+def _bits(rec: diag.DiagnosticsRecord):
+    """A record's values as bit patterns, each checked to be a Python float,
+    with its dict keys in order."""
+    def word(x):
+        assert type(x) is float
+        return struct.pack("<d", x)
+    return ([word(getattr(rec, name)) for name in diag.COLUMNS],
+            [(p, word(v)) for p, v in rec.lp_norms.items()],
+            [(p, word(v)) for p, v in rec.neg_powers.items()],
+            None if rec.grad_ratio is None else word(rec.grad_ratio))
+
+
+@pytest.mark.parametrize("p_list, neg_p, grad_p", [
+    ((), (), None), ((), (), 1.5), ((3.5, 1.0, 2.0), (8.0,), None), ((2.0,), (8.0, 0.5), 2.5)])
+def test_record_series_returns_records_bit_for_bit(p_list, neg_p, grad_p):
+    series = diag.RecordSeries(p_list, neg_p, grad_p)
+    assert isinstance(series, Sequence) and len(series) == 0 and not series
+    records = []
+    for k in range(len(SPECIAL)):  # every column takes every special value
+        vals = SPECIAL[k:] + SPECIAL[:k]
+        rec = diag.DiagnosticsRecord(
+            *vals, lp_norms={p: vals[i % 9] for i, p in enumerate(p_list, 1)},
+            neg_powers={p: vals[i % 9] for i, p in enumerate(neg_p, 4)},
+            grad_ratio=vals[-1] if grad_p is not None else None)
+        series.append(rec)
+        records.append(rec)
+    assert series.width == len(diag.csv_header(p_list, neg_p, grad_p).split(","))
+    assert len(series) == len(records)
+    expected = [_bits(r) for r in records]
+    assert [_bits(r) for r in series] == expected
+    assert _bits(series[-1]) == expected[-1] and _bits(series[-9]) == expected[0]
+    assert [_bits(r) for r in series[2:8:3]] == expected[2:8:3]
+    assert [_bits(r) for r in series[::-1]] == expected[::-1]
+    for index in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            series[index]
+    assert [_bits(r) for r in pickle.loads(pickle.dumps(series))] == expected
+    assert [struct.pack("<d", v) for v in series.column("mass")] == [e[0][1] for e in expected]
+    if grad_p is not None:
+        assert [struct.pack("<d", v) for v in series.column("grad_ratio")] == [
+            e[3] for e in expected]
+    else:
+        with pytest.raises(ValueError):
+            series.column("grad_ratio")
+    assert [diag.csv_row(r, p_list, neg_p, grad_p) for r in records] == [
+        diag.csv_row(r, p_list, neg_p, grad_p) for r in series]
 
 
 def test_compute_record_from_solver_state():

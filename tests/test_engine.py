@@ -204,6 +204,10 @@ def test_run_writes_diagnostics_without_holding_the_file(tmp_path):
         tracemalloc.stop()
     assert peak - held < 0.5e6, (peak, held)
     neg_p = outcome.summary["monitored_neg_p"]
+    # the outcome holds its records at 8 bytes a value, with room for the
+    # array's growth and the summary
+    width = len(diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p).split(","))
+    assert held <= 1.5 * 8 * width * len(outcome.records), (held, width, len(outcome.records))
     rows = [diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p)]
     rows += [diagnostics.csv_row(r, cfg.p_list, neg_p, cfg.grad_p) for r in outcome.records]
     assert Path(outcome.diagnostics_path).read_text() == "\n".join(rows) + "\n"
@@ -315,14 +319,22 @@ def test_growing_classification():
     assert outcome.trigger is None
 
 
-def test_2d_run_smoke():
+def test_2d_run_smoke(tmp_path):
     # the 8^3 run covers the same path in 3D
     for grid in (Grid.box(1.0, 1.0, 12, 12), Grid((1.0,) * 3, (8,) * 3)):
         cfg = RunConfig(grid=grid, t_end=0.05,
                         ic=ICSpec(kind="gaussian", center=(0.5,), width=0.15,
                                   amplitude=1.0, baseline=0.2),
                         grad_p=1.5)
-        outcome = run(cfg)
+        outcome = run(cfg, outdir=tmp_path / f"dim{grid.dim}")
+        # the file is csv_header, then csv_row of each record, grad_ratio column included
+        neg_p = outcome.summary["monitored_neg_p"]
+        header, *rows = Path(outcome.diagnostics_path).read_text().splitlines()
+        assert header == diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p)
+        assert len(header.split(",")) == outcome.records.width
+        assert header.endswith(",grad_ratio_1.5") and len(rows) == len(outcome.records) > 40
+        assert rows == [diagnostics.csv_row(outcome.records[i], cfg.p_list, neg_p, cfg.grad_p)
+                        for i in range(len(outcome.records))]
         assert outcome.verdict in ("CompletedBounded", "CompletedGrowing")
         assert outcome.records[-1].grad_ratio is not None
         assert outcome.records[-1].grad_ratio > 0.0
@@ -359,28 +371,20 @@ def test_runs_do_not_import_scipy_fft():
     assert out.stdout.strip() == "[]"
 
 
-def _fake_records(maxes):
-    from chemotaxsim.diagnostics import DiagnosticsRecord
-    return [DiagnosticsRecord(t=float(i), mass=1.0, min_u=0.1, max_u=m,
-                              min_v=0.5, max_v=1.0, rayleigh=0.0,
-                              log_mass=0.0, v_ratio=0.5)
-            for i, m in enumerate(maxes)]
-
-
 def test_classify_tail_trend_heuristic():
-    flat = _fake_records([1.0] * 12)
-    assert engine._classify(flat) == "CompletedBounded"
-    settling = _fake_records([2.0, 1.5, 1.2, 1.1, 1.05, 1.02, 1.01, 1.0, 1.0])
+    # _classify reads the max_u column
+    assert engine._classify([1.0] * 12) == "CompletedBounded"
+    settling = [2.0, 1.5, 1.2, 1.1, 1.05, 1.02, 1.01, 1.0, 1.0]
     assert engine._classify(settling) == "CompletedBounded"
-    growing = _fake_records([1.0 * 1.2 ** i for i in range(12)])
+    growing = [1.0 * 1.2 ** i for i in range(12)]
     assert engine._classify(growing) == "CompletedGrowing"
     # ratio within factor on a slow drift
-    slow = _fake_records([1.0 + 0.001 * i for i in range(12)])
+    slow = [1.0 + 0.001 * i for i in range(12)]
     assert engine._classify(slow) == "CompletedBounded"
     # one or two records: the thirds compare the last max_u with the first
-    assert engine._classify(_fake_records([1.0])) == "CompletedBounded"
-    assert engine._classify(_fake_records([1.0, 1.2])) == "CompletedGrowing"
-    assert engine._classify(_fake_records([1.0, 1.05])) == "CompletedBounded"
+    assert engine._classify([1.0]) == "CompletedBounded"
+    assert engine._classify([1.0, 1.2]) == "CompletedGrowing"
+    assert engine._classify([1.0, 1.05]) == "CompletedBounded"
 
 
 def test_persistence_trend_in_decaying_mass_regime():

@@ -69,6 +69,9 @@ CASES = {
     # a record every step: the file is written row by row from many records
     "run_dense_records": RUN + ["run.t_end=0.05", "run.diagnostics_every=1e-6",
                                 "run.snapshot_every=0.01", "diagnostics.p_list=1,2,3.5"],
+    # a 2D record every step: the grad_ratio column and grad_ratio_max over many rows
+    "run_2d_dense_grad_ratio": RUN + ["grid.dim=2", "grid.cells=12", "run.t_end=0.1",
+                                      "run.diagnostics_every=1e-6", "diagnostics.grad_p=1.5"],
     "trigger_u_ceiling": RUN + ["stepper.u_ceiling=0.5"],
     "trigger_v_floor_mid_run": RUN + ["stepper.v_floor=0.25", "model.chi=3", "model.a=0.1",
                                       "ic.baseline=0.05", "run.t_end=2"],
