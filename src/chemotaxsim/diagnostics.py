@@ -162,26 +162,6 @@ def csv_header(p_list: tuple[float, ...] = (), neg_p_list: tuple[float, ...] = (
     return ",".join(cols)
 
 
-def _values(rec: DiagnosticsRecord, p_list: tuple[float, ...], neg_p_list: tuple[float, ...],
-            grad_p: float | None) -> list[float]:
-    """A record's values in diagnostics.csv's column order."""
-    vals = [getattr(rec, name) for name in COLUMNS]
-    vals += [rec.lp_norms[p] for p in p_list]
-    vals += [rec.neg_powers[p] for p in neg_p_list]
-    if grad_p is not None:
-        vals.append(rec.grad_ratio if rec.grad_ratio is not None else math.nan)
-    return vals
-
-
-def _format_row(vals: Sequence[float]) -> str:
-    return ",".join(["%.17g" % v for v in vals])
-
-
-def csv_row(rec: DiagnosticsRecord, p_list: tuple[float, ...] = (),
-            neg_p_list: tuple[float, ...] = (), grad_p: float | None = None) -> str:
-    return _format_row(_values(rec, p_list, neg_p_list, grad_p))
-
-
 class RecordSeries(Sequence):
     """A run's records as one ``array("d")`` of rows in diagnostics.csv's column
     order, 8 bytes a value.  Indexing rebuilds DiagnosticsRecords equal to the
@@ -194,7 +174,12 @@ class RecordSeries(Sequence):
         self._rows = array("d")
 
     def append(self, rec: DiagnosticsRecord) -> None:
-        self._rows.extend(_values(rec, self.p_list, self.neg_p_list, self.grad_p))
+        vals = [getattr(rec, name) for name in COLUMNS]
+        vals += [rec.lp_norms[p] for p in self.p_list]
+        vals += [rec.neg_powers[p] for p in self.neg_p_list]
+        if self.grad_p is not None:
+            vals.append(rec.grad_ratio)
+        self._rows.extend(vals)
 
     def __len__(self) -> int:
         return len(self._rows) // self.width
@@ -215,10 +200,10 @@ class RecordSeries(Sequence):
         return self._rows[self.width - 1 if grad else COLUMNS.index(name)::self.width]
 
     def write_csv(self, fh) -> None:
-        """diagnostics.csv row by row: csv_header, then each record's csv_row text."""
+        """diagnostics.csv row by row: csv_header, then each row's values as "%.17g" text."""
         fh.write(csv_header(self.p_list, self.neg_p_list, self.grad_p) + "\n")
         for start in range(0, len(self._rows), self.width):
-            fh.write(_format_row(self._rows[start:start + self.width]) + "\n")
+            fh.write(",".join(["%.17g" % v for v in self._rows[start:start + self.width]]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -228,9 +213,9 @@ class BoundCheck:
     bound: float
 
 
-def check_mass_bound(rec: DiagnosticsRecord, m_star_value: float) -> BoundCheck:
+def check_mass_bound(mass: float, m_star_value: float) -> BoundCheck:
     bound = m_star_value * (1.0 + MASS_BOUND_SLACK)
-    return BoundCheck(rec.mass <= bound, rec.mass, bound)
+    return BoundCheck(mass <= bound, mass, bound)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,17 @@
 
 The operator uses the mesh module's Neumann closure, so it is symmetric
 positive definite for any mu > 0 (no null space, unlike a pure Neumann
-Poisson problem).  Both solves are direct, and one residual check accepts
+Poisson problem).  Both solves are direct, and one residual check judges
 either.  Lines of three or more cells go through a cached tridiagonal LU
-factorization, and the check accepts the usual solve there with b - A v from
-one BLAS banded product with the factored matrix.  On every other grid, in
-any dimension, the mirror-ghost closure makes the operator exactly diagonal
-in the grid's own cosine (DCT-II) basis: one matmul per axis takes the
-source there, a division by the eigenvalues solves, and the transposes come
-back.  The check applies the stepper's stencil, :func:`apply_operator`,
-there and to any line solve the banded product does not accept.  Its
-norms also stand for finiteness scans: a source whose ||nu*u|| is not
-finite is scanned before any solve, and a NaN or inf residual rejects v.
+factorization, and the check forms b - A v there with one BLAS banded
+product with the factored matrix, for every line solve, accepted or not.
+On every other grid, in any dimension, the mirror-ghost closure makes the
+operator exactly diagonal in the grid's own cosine (DCT-II) basis: one
+matmul per axis takes the source there, a division by the eigenvalues
+solves, and the transposes come back; the check applies the stepper's
+stencil, :func:`apply_operator`, there.  Its norms also stand for
+finiteness scans: a source whose ||nu*u|| is not finite is scanned before
+any solve, and a NaN or inf residual rejects v.
 """
 from __future__ import annotations
 
@@ -87,35 +87,30 @@ def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     return (x.reshape(-1, shape[-1]) @ mats[-1].T).reshape(shape)
 
 
-def _within_bound(res: float, grid: Grid, mu: float, b_norm: float, v: np.ndarray,
-                  rel_tol: float) -> bool:
-    """res is finite and at most tol*(||A||_inf*||v|| + ||b||); tol*||b||
-    alone is sufficient, and cheaper on the per-step path."""
-    return res < math.inf and (res <= rel_tol * b_norm or res <= rel_tol * (
-        (mu + sum(4.0 / h ** 2 for h in grid.spacing)) * blas.dnrm2(v.ravel()) + b_norm))
-
-
 def _check_residual(grid: Grid, mu: float, b: np.ndarray, b_norm: float, v: np.ndarray,
                     rel_tol: float, band: np.ndarray | None = None) -> None:
     """Backward-error acceptance ||b - Av|| <= tol*(||A||_inf*||v|| + b_norm).
 
     The roundoff in any float64 solve is of order eps*||A||*||v||, and
     ||A||_inf = mu + sum_ax 4/h_ax^2 grows like h^-2, so a test relative to
-    ||b|| alone becomes unattainable on fine grids.  A NaN or inf residual
+    ||b|| alone becomes unattainable on fine grids; tol*||b|| alone is
+    sufficient, and cheaper on the per-step path.  A NaN or inf residual
     (v or the source overflowed) fails before any bound, which could itself
     be inf, so an accepted v is finite.  BLAS nrm2 scales as it sums, so a
     norm of finite entries overflows only when its value does.
 
-    A line's ``band`` (see :func:`_tridiag_factors`) accepts the usual solve
-    in one BLAS banded product; what it does not accept is judged, and
-    reported, with the stepper's stencil, as on every other grid."""
-    if band is not None and _within_bound(blas.dnrm2(blas.dgbmv(  # y = b - A v; f2py parses positions faster
-            b.size, b.size, 1, 1, -1.0, band, v, 1, 0, 1.0, b)), grid, mu, b_norm, v, rel_tol):
-        return
-    res = blas.dnrm2((b - apply_operator(grid, mu, v)).ravel())
+    b - A v is one BLAS banded product with a line's ``band`` (see
+    :func:`_tridiag_factors`), which judges and reports every line solve,
+    and the stepper's stencil on every other grid."""
+    if band is None:
+        r = (b - apply_operator(grid, mu, v)).ravel()
+    else:  # y = b - A v; f2py parses positions faster
+        r = blas.dgbmv(b.size, b.size, 1, 1, -1.0, band, v, 1, 0, 1.0, b)
+    res = blas.dnrm2(r)
     if not res < math.inf:
         raise SolverFailureError(f"elliptic solve residual is {res}")
-    if not _within_bound(res, grid, mu, b_norm, v, rel_tol):
+    if not (res <= rel_tol * b_norm or res <= rel_tol * (
+            (mu + sum(4.0 / h ** 2 for h in grid.spacing)) * blas.dnrm2(v.ravel()) + b_norm)):
         raise SolverFailureError(f"elliptic solve residual {res:.3e} above tolerance")
 
 

@@ -385,7 +385,7 @@ def _summarize(config: RunConfig, outcome: RunOutcome, neg_p, thr: ThresholdVerd
     if records:
         mass = records.column("mass")
         mstar = diag.m_star(mass[0], a.sup, b.inf, measure)
-        check = diag.check_mass_bound(records[mass.index(max(mass))], mstar)
+        check = diag.check_mass_bound(max(mass), mstar)
         summary["mass_bound"] = {"m_star": mstar, "worst_mass": check.value,
                                  "bound": check.bound, "passed": check.passed}
         rmax = max(records.column("rayleigh"))

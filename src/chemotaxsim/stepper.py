@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -85,22 +85,16 @@ class CoefficientSpec:
     sup = property(lambda self: self._bounds[1])
 
     def evaluate(self, grid: Grid, t: float) -> np.ndarray:
-        """Coefficient values at cell centers for time t."""
-        profile = _x_profile(self, grid)
+        """Coefficient values at cell centers for time t, as a read-only view,
+        so values a state keeps cannot be modified in place."""
+        x = grid.centers(0)
+        fx = self.base * (1.0 + self.eps_x * np.cos(self.mode_k * np.pi * x / grid.extents[0]))
         if self.omega != 0.0:
-            return profile * (1.0 + self.eps_t * math.sin(self.omega * t))
-        return profile
+            fx = fx * (1.0 + self.eps_t * math.sin(self.omega * t))
+        return np.broadcast_to(fx.reshape((-1,) + (1,) * (grid.dim - 1)), grid.shape)
 
     def scaled(self, factor: float) -> "CoefficientSpec":
         return replace(self, base=self.base * factor)
-
-
-@lru_cache(maxsize=64)
-def _x_profile(spec: CoefficientSpec, grid: Grid) -> np.ndarray:
-    # a read-only view, so the cached profile cannot be modified in place
-    x = grid.centers(0)
-    fx = spec.base * (1.0 + spec.eps_x * np.cos(spec.mode_k * np.pi * x / grid.extents[0]))
-    return np.broadcast_to(fx.reshape((-1,) + (1,) * (grid.dim - 1)), grid.shape)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import io
 import math
 import pickle
 import struct
@@ -12,6 +13,7 @@ from chemotaxsim.elliptic import solve_chemical
 from chemotaxsim.errors import CorruptFieldError, ParameterError
 from chemotaxsim.mesh import Grid, ScalarField, cell_gradient_sq, integrate
 from chemotaxsim.regimes import beta_window
+from conftest import row_text
 
 
 def test_lp_norm_constant_any_p():
@@ -123,13 +125,9 @@ def test_m_star_and_mass_bound_check():
     assert diag.m_star(5.0, 1.0, 2.0, 1.0) == 5.0
     assert diag.m_star(0.1, 0.0, 0.0, 1.0) == 0.1
     assert diag.m_star(0.1, 1.0, 0.0, 1.0) == math.inf
-    rec = diag.DiagnosticsRecord(t=0, mass=1.0, min_u=1, max_u=1, min_v=1,
-                                 max_v=1, rayleigh=0, log_mass=0, v_ratio=1)
-    assert diag.check_mass_bound(rec, 1.0).passed
-    rec_bad = diag.DiagnosticsRecord(t=0, mass=1.1, min_u=1, max_u=1, min_v=1,
-                                     max_v=1, rayleigh=0, log_mass=0, v_ratio=1)
-    check = diag.check_mass_bound(rec_bad, 1.0)
-    assert not check.passed and check.value > check.bound
+    assert diag.check_mass_bound(1.0, 1.0).passed
+    check = diag.check_mass_bound(1.1, 1.0)
+    assert not check.passed and check.value == 1.1 and check.value > check.bound
 
 
 def test_check_persistence_and_trend_floors():
@@ -195,7 +193,12 @@ def test_csv_header_and_row_are_stable():
                                  min_v=0.3, max_v=0.9, rayleigh=0.01,
                                  log_mass=-0.2, v_ratio=0.3,
                                  lp_norms={2.0: 1.5}, neg_powers={8.0: 42.0})
-    row = diag.csv_row(rec, (2.0,), (8.0,), None)
+    series = diag.RecordSeries((2.0,), (8.0,), None)
+    series.append(rec)
+    fh = io.StringIO()
+    series.write_csv(fh)
+    assert fh.getvalue() == header + "\n" + row_text(rec) + "\n"
+    row = fh.getvalue().splitlines()[1]
     assert row.split(",")[0] == "0.5"
     assert row.split(",")[-1] == "42"
     assert len(row.split(",")) == len(header.split(","))
@@ -254,8 +257,10 @@ def test_record_series_returns_records_bit_for_bit(p_list, neg_p, grad_p):
     else:
         with pytest.raises(ValueError):
             series.column("grad_ratio")
-    assert [diag.csv_row(r, p_list, neg_p, grad_p) for r in records] == [
-        diag.csv_row(r, p_list, neg_p, grad_p) for r in series]
+    fh = io.StringIO()
+    series.write_csv(fh)
+    assert fh.getvalue().splitlines() == [diag.csv_header(p_list, neg_p, grad_p)] + [
+        row_text(r) for r in records]
 
 
 def test_compute_record_from_solver_state():
@@ -355,10 +360,14 @@ def test_a_record_checks_each_field_once(monkeypatch):
 def test_row_values_are_formatted_as_format_17g(tmp_path):
     from chemotaxsim.mesh import write_snapshot
     vals = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0]
-    rec = diag.DiagnosticsRecord(*vals, 2.5, lp_norms={2.0: 1e-300}, neg_powers={8.0: -1e300})
-    row = diag.csv_row(rec, (2.0,), (8.0,), 1.5)
+    rec = diag.DiagnosticsRecord(*vals, 2.5, lp_norms={2.0: 1e-300}, neg_powers={8.0: -1e300},
+                                 grad_ratio=math.nan)
+    series = diag.RecordSeries((2.0,), (8.0,), 1.5)
+    series.append(rec)
+    fh = io.StringIO()
+    series.write_csv(fh)
     expected = vals + [2.5, 1e-300, -1e300, math.nan]
-    assert row == ",".join(format(v, ".17g") for v in expected)
+    assert fh.getvalue().splitlines()[1] == ",".join(format(v, ".17g") for v in expected)
     path = tmp_path / "row.field"
     write_snapshot(ScalarField(Grid.box(1.0, 1.0, 2, 4), np.reshape(vals, (2, 4))), 0.0, path)
     assert path.read_text().splitlines()[1:] == [format(v, ".17g") for v in vals]

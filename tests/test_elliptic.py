@@ -189,8 +189,8 @@ def test_residual_check_holds_for_sources_whose_squares_overflow(scale):
 
 
 def test_banded_residual_rejects_a_perturbed_solution(monkeypatch):
-    # a 256-cell line accepts its solve with the cached band, without the
-    # stencil; a v the band does not accept goes to the stencil's check.
+    # a 256-cell line judges its solve with the cached band alone, accepted
+    # or rejected, and reports the band's residual; the stencil never runs.
     # v*(1 + d) leaves the residual d*||b||, which the bound rejects only when
     # ||b||/||v|| > d*||A||_inf = 2.6 here: a smooth source's perturbation is
     # within backward error, so the source is the cosine mode of 8 periods
@@ -203,15 +203,31 @@ def test_banded_residual_rejects_a_perturbed_solution(monkeypatch):
     b = np.cos(16.0 * np.pi * grid.centers(0))
     v = solve_chemical(ScalarField(grid, b), 1.0, 1.0).values
     _check_residual(grid, 1.0, b, dnrm2(b), v, 1e-10, band)
-    assert stencil_calls == []
-    with pytest.raises(SolverFailureError, match="above tolerance"):
-        _check_residual(grid, 1.0, b, dnrm2(b), v * (1.0 + 1e-5), 1e-10, band)
-    assert len(stencil_calls) == 1
+    bad = v * (1.0 + 1e-5)
+    res = dnrm2(dgbmv(256, 256, 1, 1, -1.0, band, bad, beta=1.0, y=b))
+    with pytest.raises(SolverFailureError, match=f"^elliptic solve residual {res:.3e} above"):
+        _check_residual(grid, 1.0, b, dnrm2(b), bad, 1e-10, band)
     # at 2048 cells the residual exceeds tol*||b||, so the band accepts with
-    # the ||A||_inf term of the bound, and still no stencil runs
+    # the ||A||_inf term of the bound
     fine = Grid.line(1.0, 2048)
     solve_chemical(ScalarField(fine, 1.0 + np.cos(np.pi * fine.centers(0))), 1.0, 1.0)
-    assert len(stencil_calls) == 1
+    assert stencil_calls == []
+
+
+def test_line_overflow_is_judged_by_its_band_alone(monkeypatch):
+    # nu*u overflows to inf; the band's residual is NaN and rejects v at
+    # once, so the only warning is the product's and no stencil runs
+    stencil_calls = []
+    monkeypatch.setattr(elliptic, "apply_operator",
+                        lambda *args: stencil_calls.append(args) or apply_operator(*args))
+    u = ScalarField.full(Grid.line(1.0, 16), 10.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverFailureError, match="^elliptic solve residual is nan$"):
+            solve_chemical(u, 1.0, 1e308)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "overflow encountered in multiply")]
+    assert stencil_calls == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 24, 257])

@@ -18,6 +18,7 @@ from chemotaxsim.errors import ConfigError
 from chemotaxsim.mesh import Grid, read_snapshot
 from chemotaxsim.regimes import threshold
 from chemotaxsim.stepper import CoefficientSpec, ModelParams, StepperConfig
+from conftest import row_text
 
 STEADY_TEXT = """
 # steady state regression config
@@ -209,7 +210,7 @@ def test_run_writes_diagnostics_without_holding_the_file(tmp_path):
     width = len(diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p).split(","))
     assert held <= 1.5 * 8 * width * len(outcome.records), (held, width, len(outcome.records))
     rows = [diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p)]
-    rows += [diagnostics.csv_row(r, cfg.p_list, neg_p, cfg.grad_p) for r in outcome.records]
+    rows += [row_text(r) for r in outcome.records]
     assert Path(outcome.diagnostics_path).read_text() == "\n".join(rows) + "\n"
 
 
@@ -327,14 +328,13 @@ def test_2d_run_smoke(tmp_path):
                                   amplitude=1.0, baseline=0.2),
                         grad_p=1.5)
         outcome = run(cfg, outdir=tmp_path / f"dim{grid.dim}")
-        # the file is csv_header, then csv_row of each record, grad_ratio column included
+        # the file is csv_header, then each record's "%.17g" row, grad_ratio column included
         neg_p = outcome.summary["monitored_neg_p"]
         header, *rows = Path(outcome.diagnostics_path).read_text().splitlines()
         assert header == diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p)
         assert len(header.split(",")) == outcome.records.width
         assert header.endswith(",grad_ratio_1.5") and len(rows) == len(outcome.records) > 40
-        assert rows == [diagnostics.csv_row(outcome.records[i], cfg.p_list, neg_p, cfg.grad_p)
-                        for i in range(len(outcome.records))]
+        assert rows == [row_text(outcome.records[i]) for i in range(len(outcome.records))]
         assert outcome.verdict in ("CompletedBounded", "CompletedGrowing")
         assert outcome.records[-1].grad_ratio is not None
         assert outcome.records[-1].grad_ratio > 0.0

@@ -69,6 +69,18 @@ def test_separable_2d_varies_along_first_axis_only():
         assert not np.allclose(vals[0], vals[7])
 
 
+def test_steady_coefficients_are_read_only():
+    # a state keeps a steady spec's a and b for its later steps, so nothing
+    # may write through them
+    spec = CoefficientSpec(2.0, eps_x=0.3, mode_k=2.0)
+    for grid in (Grid.line(1.0, 16), Grid.box(1.0, 1.0, 8, 4)):
+        vals = spec.evaluate(grid, 0.0)
+        assert vals.shape == grid.shape and not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[...] = 0.0
+        assert np.array_equal(spec.evaluate(grid, 5.0), vals)
+
+
 # --- chemotactic velocity ----------------------------------------------------
 
 def test_velocity_zero_for_constant_v_and_zero_chi():

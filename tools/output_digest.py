@@ -57,6 +57,10 @@ CASES = {
     # a(x, t) varies in x and t; its omega keeps every step off the replay path
     "run_coefficient_x_t": RUN + ["model.a.eps_x=0.3", "model.a.k=2", "model.a.eps_t=0.2",
                                   "model.a.omega=3"],
+    # the same in 2D: the x profile is broadcast over the second axis on every step
+    "run_coefficient_x_t_2d": RUN + ["grid.dim=2", "grid.cells=12", "run.t_end=0.03",
+                                     "run.diagnostics_every=0.01", "model.a.eps_x=0.3",
+                                     "model.a.omega=3"],
     "run_growing": RUN + ["grid.cells=8", "model.chi=0", "model.a=2", "ic.kind=constant",
                           "ic.value=1e-3", "run.t_end=4", "run.diagnostics_every=0.1"],
     # settles on u = a/b bit for bit, so most late steps are replays
