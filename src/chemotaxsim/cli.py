@@ -6,7 +6,7 @@ Subcommands:
   regimes --chi --mu --a-inf         threshold / window verdict as JSON
   check                              built-in verification battery
 
-Exit codes: 0 success, 1 battery or flag failure, 2 config error,
+Exit codes: 0 success, 1 battery failure or threshold not met, 2 config error,
 3 numerical trigger, 4 solver failure.
 """
 from __future__ import annotations
@@ -17,8 +17,8 @@ import json
 import sys
 
 from . import checks, engine
-from .errors import ConfigError, InfeasiblePlanError, SimulationError
-from .regimes import beta_window, boundedness_threshold, lp_parameter_plan
+from .errors import ConfigError, SimulationError
+from .regimes import beta_window, boundedness_threshold
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--chi", type=float, required=True)
     p_reg.add_argument("--mu", type=float, required=True)
     p_reg.add_argument("--a-inf", type=float, required=True, dest="a_inf")
-    p_reg.add_argument("--plan", action="store_true",
-                       help="also attempt the L^p exponent plan construction")
 
     sub.add_parser("check", help="run the built-in verification battery")
     return parser
@@ -105,24 +103,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_regimes(args) -> int:
     verdict = boundedness_threshold(args.chi, args.mu, args.a_inf)
-    payload: dict = {"threshold": dataclasses.asdict(verdict)}
-    ok = verdict.satisfied
-    if verdict.satisfied:
-        window = beta_window(args.chi, args.mu, args.a_inf)
-        payload["beta_window"] = dataclasses.asdict(window)
-    else:
-        payload["beta_window"] = None
-    if args.plan:
-        try:
-            plan = lp_parameter_plan(1.5, 0.9, 1e-3)
-            payload["lp_plan"] = dataclasses.asdict(plan)
-            ok = ok and plan.all_flags
-        except InfeasiblePlanError as err:
-            payload["lp_plan"] = {"infeasible": True, "message": str(err),
-                                  "p_star": err.p_star, "p_star_upper": err.p_star_upper}
-            ok = False
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK if ok else EXIT_FAIL
+    window = (dataclasses.asdict(beta_window(args.chi, args.mu, args.a_inf))
+              if verdict.satisfied else None)
+    print(json.dumps({"threshold": dataclasses.asdict(verdict), "beta_window": window}, indent=2))
+    return EXIT_OK if verdict.satisfied else EXIT_FAIL
 
 
 def _cmd_check() -> int:

@@ -24,14 +24,14 @@ HOLDER_SLACK = 1e-12
 
 
 def lp_norm(f: ScalarField, p: float) -> float:
-    """(int f^p)^(1/p); p >= 1, possibly non-integer, f >= 0."""
+    """(int f^p)^(1/p); p finite and >= 1, possibly non-integer, f >= 0."""
     return _lp_norm(f, p, None)
 
 
 def _lp_norm(f: ScalarField, p: float, lo: float | None) -> float:
     # lo: the minimum of an f known to be finite, or None to check f here
-    if p < 1.0:
-        raise ParameterError(f"lp_norm needs p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ParameterError(f"lp_norm needs a finite p >= 1, got {p}")
     if (_finite_min(f) if lo is None else lo) < 0.0:
         raise ParameterError("lp_norm needs a nonnegative field")
     return float((f.values ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
@@ -77,8 +77,8 @@ def neg_power(u: ScalarField, p: float) -> float:
 
 def _neg_power(u: ScalarField, p: float, lo: float | None) -> float:
     # lo: as for _lp_norm
-    if p <= 0.0:
-        raise ParameterError(f"neg_power needs p > 0, got {p}")
+    if not 0.0 < p < math.inf:
+        raise ParameterError(f"neg_power needs a finite p > 0, got {p}")
     if (_finite_min(u) if lo is None else lo) < DEGENERACY_FLOOR:
         return math.inf
     with np.errstate(over="ignore"):
@@ -258,8 +258,8 @@ def reverse_holder_check(f: ScalarField, g: ScalarField, p: float) -> HolderChec
     Holds exactly for the discrete quadrature measure, so the only slack
     allowed is roundoff (HOLDER_SLACK, relative).
     """
-    if p <= 1.0:
-        raise ParameterError(f"reverse Hoelder needs p > 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"reverse Hoelder needs a finite p > 1, got {p}")
     require_finite(f)
     require_finite(g)
     if f.min() < 0.0:

@@ -82,9 +82,11 @@ def build_ic(grid: Grid, ic: ICSpec, default_seed: int = 0) -> ScalarField:
             if len(ic.center) not in (1, grid.dim):
                 raise ConfigError(f"ic.center needs 1 or grid.dim={grid.dim} values")
             center = ic.center * (grid.dim // len(ic.center))
-            coords = grid.coordinate_fields()
-            r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
-            u0 = ScalarField(grid, ic.baseline + ic.amplitude * np.exp(-r2 / (2.0 * ic.width ** 2)))
+
+            def bump(*coords):
+                r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
+                return ic.baseline + ic.amplitude * np.exp(-r2 / (2.0 * ic.width ** 2))
+            u0 = ScalarField.from_function(grid, bump)
         else:
             key = ic.seed if ic.seed is not None else default_seed
             gen = np.random.Generator(np.random.Philox(key=key))
@@ -121,8 +123,8 @@ class RunConfig:
         if not (0 <= self.diagnostics_every < math.inf and 0 <= self.snapshot_every < math.inf):
             raise ConfigError("cadence intervals must be finite and >= 0")
         # the ranges the monitored functionals are defined on
-        if not all(p >= 1.0 for p in self.p_list):
-            raise ConfigError(f"diagnostics.p_list needs every p >= 1, got {self.p_list}")
+        if not all(1.0 <= p < math.inf for p in self.p_list):
+            raise ConfigError(f"diagnostics.p_list needs each p finite and >= 1, got {self.p_list}")
         if self.grad_p is not None and not 1.0 < self.grad_p < self.grid.dim:
             raise ConfigError(f"diagnostics.grad_p needs 1 < p < grid.dim={self.grid.dim}, "
                               f"got {self.grad_p}")
@@ -397,14 +399,12 @@ def _summarize(config: RunConfig, outcome: RunOutcome, neg_p, thr: ThresholdVerd
             summary["persistence"] = asdict(diag.check_persistence(
                 mass[half:], min_v[half:], *diag.trend_floors(mass, min_v)))
         else:
-            summary["persistence"] = {"passed": trigger is None and bool(records)}
-        min_slope = None  # `<` keeps the first of equal minima (0.0 before -0.0), as min() does
-        series = zip(records.column("t"), records.column("log_mass"))
-        for (t_prev, lm_prev), (t, lm) in itertools.pairwise(series):
-            if t > t_prev:
-                slope = (lm - lm_prev) / (t - t_prev)
-                if math.isfinite(slope) and (min_slope is None or slope < min_slope):
-                    min_slope = slope
+            summary["persistence"] = {"passed": trigger is None}
+        series = itertools.pairwise(zip(records.column("t"), records.column("log_mass")))
+        # min() keeps the first of equal minima: 0.0 before -0.0
+        min_slope = min(filter(math.isfinite, ((lm - lm_prev) / (t - t_prev)
+                                               for (t_prev, lm_prev), (t, lm) in series
+                                               if t > t_prev)), default=None)
         summary["log_mass_trend"] = {
             "min_slope": min_slope,
             "c_obs": max(0.0, -min_slope) if min_slope is not None else None,

@@ -88,16 +88,17 @@ def beta_window(chi: float, mu: float, R: float) -> BetaWindow:
             f"discriminant {disc:.3e} not positive; R barely above threshold")
     # roots of beta^2 + 2(2-chi)*beta + (chi^2 - 4R/mu): compute the
     # larger-magnitude one directly and the other via Vieta, so neither
-    # suffers the (chi-2) +- 2*sqrt(disc) cancellation near the threshold
+    # suffers the (chi-2) +- 2*sqrt(disc) cancellation near the threshold;
+    # s > 0 keeps the direct one off zero (beta_minus <= -s, beta_plus >= s)
     half_b = 2.0 - chi
     c0 = chi * chi - 4.0 * R / mu
     s = 2.0 * math.sqrt(disc)
     if half_b >= 0.0:
         beta_minus = -half_b - s
-        beta_plus = c0 / beta_minus if beta_minus != 0.0 else -half_b + s
+        beta_plus = c0 / beta_minus
     else:
         beta_plus = -half_b + s
-        beta_minus = c0 / beta_plus if beta_plus != 0.0 else -half_b - s
+        beta_minus = c0 / beta_plus
     lo = max(0.0, beta_minus)
     if not (beta_plus > lo):
         raise ThresholdNotMetError(

@@ -135,11 +135,6 @@ class StepperConfig:
 DEFAULT_STEPPER = StepperConfig()
 
 
-def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
-    # bit patterns, not values: -0.0 and 0.0 differ, and so do NaN payloads
-    return x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
 def _require_floor(min_v: float, v_floor: float) -> None:
     """Raise DegeneracyError when a chemical field's minimum is below v_floor,
     zero or NaN."""
@@ -334,11 +329,13 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
     v_new = solve_chemical(u_field, params.mu, params.nu, state.elliptic_cfg)
     v_min = v_new.min()
     _require_floor(v_min, cfg.v_floor)
-    # the max test first: a step that moved u's max costs one comparison
+    # the max test first: a step that moved u's max costs one comparison.  Bytes,
+    # not values: -0.0 and 0.0 differ, and so do NaN payloads
     if (u_peak == state.u_max and guard_dt <= dt_cap and steady
-            and _same_bits(u_new, u_old) and _same_bits(v_new.values, state.v.values)):
-        state._fixed_point = (u_old.tobytes(), state.v.values.tobytes(), grid,
-                              params, cfg, state.elliptic_cfg, guard_dt, dt)
+            and (u_bits := u_new.tobytes()) == u_old.tobytes()
+            and (v_bits := v_new.values.tobytes()) == state.v.values.tobytes()):
+        state._fixed_point = (u_bits, v_bits, grid, params, cfg, state.elliptic_cfg,
+                              guard_dt, dt)
     state.u = u_field
     state.v = v_new
     state.u_max = u_peak

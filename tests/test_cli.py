@@ -141,7 +141,8 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
                      "grid.cells=16 ic.kind=gaussian ic.baseline=1e308 ic.amplitude=1e308",
                      "grid.cells=16 ic.kind=random ic.baseline=1e308 ic.amplitude=1e308",
                      # exponents outside the monitored functionals' ranges
-                     "diagnostics.p_list=0.5", "diagnostics.grad_p=1.5"):
+                     "diagnostics.p_list=0.5", "diagnostics.p_list=2,inf",
+                     "diagnostics.p_list=nan", "diagnostics.grad_p=1.5"):
         assert main(["run", str(cfg_path), *override.split(),
                      "--outdir", str(tmp_path / "out")]) == 2, override
 
@@ -170,7 +171,7 @@ def test_sweep_subcommand(cfg_path, tmp_path, capsys):
     # model's range (config errors for a run too) and workers below 1 are
     # config errors before any cell runs
     bad = tmp_path / "bad"
-    for axis, workers in (("nu=1,2", "1"), ("chi=abc", "1"), ("mu=1,-1", "1"),
+    for axis, workers in (("nu=1,2", "1"), ("chi", "1"), ("chi=abc", "1"), ("mu=1,-1", "1"),
                           ("a_scale=-1", "1"), ("chi=nan", "1"), ("chi=0.5", "0"),
                           ("chi=0.5", "-2")):
         assert main(["sweep", str(cfg_path), "--axis", axis, "--outdir", str(bad),
@@ -201,6 +202,9 @@ def test_regimes_subcommand(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["threshold"]["satisfied"] is False
     assert payload["beta_window"] is None
+    # the exponent plan is reported by `check` alone
+    with pytest.raises(SystemExit):
+        main(["regimes", "--chi", "1.0", "--mu", "1.0", "--a-inf", "1.0", "--plan"])
 
 
 @pytest.mark.parametrize("chi, mu, a_inf", [("1", "nan", "1"), ("1", "inf", "1"),
@@ -210,15 +214,6 @@ def test_regimes_subcommand_rejects_non_finite_input(chi, mu, a_inf, capsys):
     assert main(["regimes", "--chi", chi, "--mu", mu, "--a-inf", a_inf]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
-
-
-def test_regimes_subcommand_plan_reports_infeasible(capsys):
-    code = main(["regimes", "--chi", "1.0", "--mu", "1.0", "--a-inf", "1.0",
-                 "--plan"])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["lp_plan"]["infeasible"] is True
-    assert payload["lp_plan"]["p_star"] >= payload["lp_plan"]["p_star_upper"]
 
 
 def test_check_subcommand(capsys):

@@ -40,8 +40,10 @@ def test_lp_norm_indicator_bump():
 
 def test_lp_norm_validation():
     g = Grid.line(1.0, 8)
-    with pytest.raises(ParameterError):
-        diag.lp_norm(ScalarField.full(g, 1.0), 0.5)
+    # a NaN p would give NaN and an infinite one 1.0 for this field
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            diag.lp_norm(ScalarField.full(g, 3.0), p)
     with pytest.raises(ParameterError):
         diag.lp_norm(ScalarField.full(g, -1.0), 2.0)
 
@@ -118,6 +120,10 @@ def test_log_mass_and_neg_power_degeneracy_flags():
     f = ScalarField(g, vals)
     assert diag.log_mass(f) == -math.inf
     assert diag.neg_power(f, 2.0) == math.inf
+    # the exponent is checked before the flag
+    for p in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            diag.neg_power(f, p)
 
 
 def test_m_star_and_mass_bound_check():
@@ -150,6 +156,19 @@ def test_reverse_holder_equality_case():
         check = diag.reverse_holder_check(one, one, p)
         assert check.passed
         assert check.lhs == pytest.approx(check.rhs, rel=1e-12)
+
+
+def test_reverse_holder_validation():
+    g = Grid.line(1.0, 8)
+    one = ScalarField.full(g, 1.0)
+    for p in (1.0, 0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="needs a finite p > 1"):
+            diag.reverse_holder_check(one, one, p)
+    with pytest.raises(ParameterError, match="needs f >= 0"):
+        diag.reverse_holder_check(ScalarField.full(g, -1.0), one, 2.0)
+    for value in (0.0, -1.0):
+        with pytest.raises(ParameterError, match="needs g > 0"):
+            diag.reverse_holder_check(one, ScalarField.full(g, value), 2.0)
 
 
 def test_reverse_holder_random_trials():
@@ -295,12 +314,14 @@ def test_compute_record_error_precedence():
             record(u_neg, v, p_list=(0.5,), neg_p_list=(0.0,), grad_p=1.5)
     # then p_list, in order, each p before the sign of u; then the
     # negative powers, then grad_p
-    with pytest.raises(ParameterError, match="^lp_norm needs p >= 1, got 0.5$"):
-        record(u_neg, ones, p_list=(0.5, 2.0), neg_p_list=(0.0,), grad_p=1.5)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match=f"^lp_norm needs a finite p >= 1, got {p}$"):
+            record(u_neg, ones, p_list=(p, 2.0), neg_p_list=(0.0,), grad_p=1.5)
     with pytest.raises(ParameterError, match="^lp_norm needs a nonnegative field$"):
         record(u_neg, ones, p_list=(2.0, 0.5), neg_p_list=(0.0,), grad_p=1.5)
-    with pytest.raises(ParameterError, match="^neg_power needs p > 0, got 0.0$"):
-        record(u_neg, ones, neg_p_list=(1.0, 0.0), grad_p=1.5)
+    for p in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match=f"^neg_power needs a finite p > 0, got {p}$"):
+            record(u_neg, ones, neg_p_list=(1.0, p), grad_p=1.5)
     with pytest.raises(ParameterError, match="^grad_ratio needs 1 < p < dim=1, got 1.5$"):
         record(u_neg, ones, neg_p_list=(1.0,), grad_p=1.5)
     # a negative u with no p_list is a degeneracy flag, not an error

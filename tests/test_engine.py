@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from chemotaxsim.engine import (ICSpec, RunConfig, build_ic, config_from_mapping
 from chemotaxsim.elliptic import solve_chemical
 from chemotaxsim.errors import ConfigError
 from chemotaxsim.mesh import Grid, read_snapshot
-from chemotaxsim.regimes import threshold
+from chemotaxsim.regimes import boundedness_threshold, threshold
 from chemotaxsim.stepper import CoefficientSpec, ModelParams, StepperConfig
 from conftest import row_text
 
@@ -144,6 +145,8 @@ def test_build_ic_constant_and_gaussian():
         build_ic(grid, ICSpec(kind="gaussian", amplitude=-5.0, baseline=0.1))
     with pytest.raises(ConfigError):
         build_ic(grid, ICSpec(kind="constant", value=0.0))
+    with pytest.raises(ConfigError, match="^unknown ic kind 'bogus'$"):
+        ICSpec(kind="bogus")
 
 
 def test_build_ic_random_is_seed_deterministic():
@@ -385,6 +388,36 @@ def test_classify_tail_trend_heuristic():
     assert engine._classify([1.0]) == "CompletedBounded"
     assert engine._classify([1.0, 1.2]) == "CompletedGrowing"
     assert engine._classify([1.0, 1.05]) == "CompletedBounded"
+
+
+def test_summary_log_mass_slope_minimum():
+    # min_slope is the first of equal minima over the finite slopes between
+    # records at distinct t; c_obs is None when no slope is finite
+    cfg = quick_config()
+    thr = boundedness_threshold(1.0, 1.0, 1.0)
+
+    def trend(t, log_mass):
+        records = diagnostics.RecordSeries(cfg.p_list, (), None)
+        for t_i, lm in zip(t, log_mass):
+            records.append(diagnostics.DiagnosticsRecord(t_i, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
+                                                         lm, 1.0, {2.0: 1.0}))
+        outcome = engine.RunOutcome(engine.VERDICT_BOUNDED, None, None, t[-1], len(t),
+                                    1.0, 1.0, records)
+        found = engine._summarize(cfg, outcome, (), thr)["log_mass_trend"]
+        return found["min_slope"], found["c_obs"]
+
+    # slopes -0.0 then 0.0, and 0.0 then -0.0: the first is kept
+    slope, c_obs = trend([0.0, 1.0, 2.0], [0.0, -0.0, 0.0])
+    assert (slope, math.copysign(1.0, slope), c_obs) == (0.0, -1.0, 0.0)
+    slope, c_obs = trend([0.0, 1.0, 2.0], [-0.0, 0.0, -0.0])
+    assert (slope, math.copysign(1.0, slope), c_obs) == (0.0, 1.0, 0.0)
+    # a repeated t (slope -8/0), a slope of -inf into a -inf log_mass and
+    # one of inf out of it are skipped
+    assert trend([0.0, 1.0, 1.0, 2.0, 3.0, 4.0],
+                 [0.0, -1.0, -9.0, -10.5, -math.inf, -13.0]) == (-1.5, 1.5)
+    for t, log_mass in (([0.0], [0.0]), ([0.0, 0.0], [0.0, -1.0]),
+                        ([0.0, 1.0, 2.0], [-math.inf] * 3)):
+        assert trend(t, log_mass) == (None, None), (t, log_mass)
 
 
 def test_persistence_trend_in_decaying_mass_regime():

@@ -162,6 +162,8 @@ def test_lp_plan_infeasible_across_grid(c, h_frac):
 
 
 def test_select_lp_exponent_reports_infeasibility(monkeypatch):
+    with pytest.raises(ParameterError, match="dim must be at least 1"):
+        select_lp_exponent(0)
     for dim in (1, 2, 3):
         with pytest.raises(InfeasiblePlanError) as err:
             select_lp_exponent(dim)

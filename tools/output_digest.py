@@ -89,11 +89,12 @@ CASES = {
     "config_error": RUN + ["model.unknown=1"],
     "config_error_dt_min_inf": RUN + ["stepper.dt_min=inf"],
     "config_error_v_floor_inf": RUN + ["stepper.v_floor=inf"],
+    "config_error_p_list_inf": RUN + ["diagnostics.p_list=2,inf"],
     "sweep_config_error_axis_value": ["sweep", "{cfg}", "--axis", "mu=1,-1", "--outdir", "{out}"],
     "sweep_config_error_workers_0": SWEEP + ["--workers", "0"],
     "sweep_workers_1": SWEEP + ["--workers", "1"],
     "sweep_workers_2": SWEEP + ["--workers", "2"],
-    "regimes_plan": ["regimes", "--chi", "2", "--mu", "1", "--a-inf", "2.1", "--plan"],
+    "regimes_threshold": ["regimes", "--chi", "2", "--mu", "1", "--a-inf", "2.1"],
     "regimes_mu_nan": ["regimes", "--chi", "1", "--mu", "nan", "--a-inf", "1"],
     "regimes_a_inf_inf": ["regimes", "--chi", "3", "--mu", "1", "--a-inf", "inf"],
     "check": ["check"],
