@@ -44,13 +44,15 @@ def _finite_min(f: ScalarField) -> float:
 
 def rayleigh(v: ScalarField) -> float:
     """The Rayleigh-type monitor int |grad v|^2 / v^2; v > 0."""
-    return _rayleigh(v, v.min())
+    return _rayleigh(v, v.min(), v.max())
 
 
-def _rayleigh(v: ScalarField, lo: float) -> float:
-    # lo: the minimum of v; its sign is checked before v's finiteness
+def _rayleigh(v: ScalarField, lo: float, hi: float) -> float:
+    # lo, hi: the extrema of v; lo's sign is checked before v's finiteness.  v is
+    # scaled exactly by a power of two first, so no square overflows at any nu
     if lo <= 0.0:
         raise ParameterError("rayleigh needs a positive field")
+    v = ScalarField(v.grid, np.ldexp(v.values, -math.frexp(hi)[1]))
     vals = cell_gradient_sq(v).values / v.values ** 2.0
     return float(vals.sum() * v.grid.cell_volume)
 
@@ -131,15 +133,15 @@ def compute_record(u: ScalarField, v: ScalarField, t: float,
     # one finiteness check per field (the mass's of u, the Rayleigh gradient's
     # of v) and one min; each column equals and raises as its functional does
     mass = integrate(u)
-    lo_u, lo_v = u.min(), v.min()
+    lo_u, lo_v, hi_v = u.min(), v.min(), v.max()
     return DiagnosticsRecord(
         t=t,
         mass=mass,
         min_u=lo_u,
         max_u=u.max(),
         min_v=lo_v,
-        max_v=v.max(),
-        rayleigh=_rayleigh(v, lo_v),
+        max_v=hi_v,
+        rayleigh=_rayleigh(v, lo_v, hi_v),
         log_mass=_log_mass(u, lo_u),
         v_ratio=lo_v / mass if mass > 0 else math.inf,
         lp_norms={p: _lp_norm(u, p, lo_u) for p in p_list},

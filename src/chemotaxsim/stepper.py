@@ -50,7 +50,8 @@ class CoefficientSpec:
     constant ``base``: both factors are then exactly 1.
 
     ``inf``/``sup`` are bounds over the whole domain and all times, used by
-    the a-priori mass ceiling and the reaction timestep guard.
+    the a-priori mass ceiling and the reaction timestep guard.  The spec
+    keeps its x profile for the last grid it was evaluated on.
     """
 
     base: float
@@ -85,13 +86,21 @@ class CoefficientSpec:
     sup = property(lambda self: self._bounds[1])
 
     def evaluate(self, grid: Grid, t: float) -> np.ndarray:
-        """Coefficient values at cell centers for time t, as a read-only view,
-        so values a state keeps cannot be modified in place."""
-        x = grid.centers(0)
-        fx = self.base * (1.0 + self.eps_x * np.cos(self.mode_k * np.pi * x / grid.extents[0]))
-        if self.omega != 0.0:
-            fx = fx * (1.0 + self.eps_t * math.sin(self.omega * t))
-        return np.broadcast_to(fx.reshape((-1,) + (1,) * (grid.dim - 1)), grid.shape)
+        """Coefficient values at cell centers for time t: the read-only x profile,
+        built once per grid, as it is when omega == 0 and else times the time factor."""
+        if (kept := self.__dict__.get("_profile", (None,)))[0] is not grid:
+            x = grid.centers(0)
+            fx = self.base * (1.0 + self.eps_x * np.cos(self.mode_k * np.pi * x / grid.extents[0]))
+            fx.flags.writeable = False
+            kept = self.__dict__["_profile"] = (grid, np.broadcast_to(
+                fx.reshape((-1,) + (1,) * (grid.dim - 1)), grid.shape))
+        if self.omega == 0.0:
+            return kept[1]
+        return kept[1] * (1.0 + self.eps_t * math.sin(self.omega * t))
+
+    def __getstate__(self):
+        # an unpickled profile would be writeable; the next evaluate rebuilds it
+        return {k: v for k, v in self.__dict__.items() if k != "_profile"}
 
     def scaled(self, factor: float) -> "CoefficientSpec":
         return replace(self, base=self.base * factor)
@@ -162,7 +171,8 @@ class SimState:
     above ``cfg.v_floor``.  Construction computes the extrema and checks the
     ceiling, then the floor; :func:`advance` keeps all of it.  A caller that
     edits ``u`` or ``v`` in place breaks them; build a new state instead.  A
-    reassigned model or config takes effect at the next step.
+    reassigned model or config takes effect at the next step, which reads a
+    and b from the model's specs: the state keeps no coefficient values.
     """
 
     t: float
@@ -178,11 +188,7 @@ class SimState:
     # the last step, when it was a bitwise fixed point (see advance): the
     # bytes of u and v, their grid, the model and configs it ran under, its
     # guard dt and the dt it accepted
-    _fixed_point: tuple[bytes, bytes, Grid, ModelParams, StepperConfig, EllipticConfig,
-                        float, float] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # (params, grid, a, b): time-independent a and b at the cell centers
-    _coefficients: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fixed_point: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.u_max = self.u.max()
@@ -296,20 +302,13 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
             return state
         state._fixed_point = None
 
-    params, cfg = state.params, state.cfg
-    grid = state.u.grid
+    params, cfg, grid = state.params, state.cfg, state.u.grid
     w, guard_dt = _drift_and_dt(state)
     dt = min(guard_dt, dt_cap)
 
     u_old = state.u.values
-    steady = params.coeff_a.omega == params.coeff_b.omega == 0.0
-    kept = state._coefficients
-    if not (kept and kept[0] is params and kept[1] is grid):
-        kept = (params, grid, params.coeff_a.evaluate(grid, state.t),
-                params.coeff_b.evaluate(grid, state.t))
-        state._coefficients = kept if steady else None
-    a, b = kept[2:]
-    rhs = _explicit_rhs(state.u, w, a, b)
+    rhs = _explicit_rhs(state.u, w, params.coeff_a.evaluate(grid, state.t),
+                        params.coeff_b.evaluate(grid, state.t))
     while True:  # ends: dt_min > 0, so halving reaches it
         u_new = u_old + dt * rhs
         lowest = float(u_new.min())
@@ -331,7 +330,8 @@ def advance(state: SimState, dt_cap: float = math.inf) -> SimState:
     _require_floor(v_min, cfg.v_floor)
     # the max test first: a step that moved u's max costs one comparison.  Bytes,
     # not values: -0.0 and 0.0 differ, and so do NaN payloads
-    if (u_peak == state.u_max and guard_dt <= dt_cap and steady
+    if (u_peak == state.u_max and guard_dt <= dt_cap
+            and params.coeff_a.omega == params.coeff_b.omega == 0.0
             and (u_bits := u_new.tobytes()) == u_old.tobytes()
             and (v_bits := v_new.values.tobytes()) == state.v.values.tobytes()):
         state._fixed_point = (u_bits, v_bits, grid, params, cfg, state.elliptic_cfg,

@@ -59,6 +59,18 @@ def test_rayleigh_exponential():
     assert diag.rayleigh(const) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_rayleigh_is_invariant_under_power_of_two_scaling_bit_for_bit():
+    # v is scaled to a maximum in [0.5, 1) before anything is squared, so
+    # v -> k*v keeps every bit, also where v**2 would overflow or underflow
+    g = Grid.box(1.0, 1.0, 12, 8)
+    v = ScalarField.from_function(g, lambda x, y: np.exp(x) + 0.5 * np.cos(3.0 * y))
+    want = diag.rayleigh(v)
+    assert want > 0.0
+    for k in (0.5, 1024.0, 2.0 ** 900, 2.0 ** 1000, 2.0 ** -900):
+        assert diag.rayleigh(ScalarField(g, v.values * k)) == want, k
+
+
 def test_rayleigh_rejects_a_field_with_a_zero_cell():
     grid = Grid.line(1.0, 8)
     with pytest.raises(ParameterError, match="rayleigh needs a positive field"):
@@ -375,7 +387,10 @@ def test_a_record_checks_each_field_once(monkeypatch):
     v = solve_chemical(u, 1.0, 1.0)
     checked.clear()
     diag.compute_record(u, v, 0.0, (2.0, 3.0, 4.0), (8.0,))
-    assert len(checked) == 2 and checked[0] is u and checked[1] is v
+    # v's check is of v scaled exactly by a power of two (the Rayleigh monitor's)
+    assert len(checked) == 2 and checked[0] is u
+    scale = v.max() / checked[1].max()
+    assert math.frexp(scale)[0] == 0.5 and np.array_equal(checked[1].values * scale, v.values)
 
 
 def test_row_values_are_formatted_as_format_17g(tmp_path):

@@ -441,6 +441,68 @@ def test_persistence_trend_in_decaying_mass_regime():
     assert outcome.records[-1].mass < 0.2 * outcome.records[0].mass
 
 
+# --- exact similarities ---------------------------------------------------------
+
+def similarity_config(dim, cells, nu=1.0, lam=1.0):
+    """chi = 3 with a(x, t) and b(x, t) on a random IC over [0, lam]^dim: lam
+    scales x by lam, and t, the cadence and 1/(mu, a, b, both omegas) by lam^2."""
+    s = lam ** -2
+    a = CoefficientSpec(3.0 * s, eps_x=0.3, mode_k=2.0, eps_t=0.2, omega=3.0 * s)
+    b = CoefficientSpec(1.0 * s, eps_x=-0.2, eps_t=0.3, omega=5.0 * s)
+    return RunConfig(grid=Grid((lam,) * dim, (cells,) * dim),
+                     params=ModelParams(3.0, s, nu, a, b),
+                     ic=ICSpec(kind="random", baseline=0.5, amplitude=1.0, seed=7),
+                     t_end=0.05 / s, diagnostics_every=0.005 / s, p_list=(1.5, 2.0, 3.0))
+
+
+def column(outcome, name):
+    """One column of a run's records as float64, or ``"lp"``: every L^p norm."""
+    records = outcome.records
+    if name == "lp":
+        return np.array([[rec.lp_norms[p] for p in records.p_list] for rec in records])
+    return np.asarray(records.column(name))
+
+
+U_COLUMNS = ("mass", "min_u", "max_u", "lp")
+V_COLUMNS = ("min_v", "max_v", "v_ratio")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim, cells", [(1, 24), (2, 12), (3, 6)], ids=["1d", "2d", "3d"])
+def test_nu_and_parabolic_scaling_hold_bit_for_bit(dim, cells):
+    # the drift reads v only through grad(v)/v, so nu -> k*nu scales v by k and
+    # leaves u alone; x -> lam*x, t -> lam^2*t with mu, a, b and omega over
+    # lam^2 maps solutions to solutions with v scaled by lam^2.  For powers of
+    # two every float operation of the scheme scales exactly, in any dimension
+    base = run(similarity_config(dim, cells))
+    assert base.verdict == engine.VERDICT_BOUNDED and len(base.records) == 11
+
+    def assert_scaled(outcome, factors):
+        assert (outcome.verdict, outcome.steps) == (base.verdict, base.steps)
+        for name, factor in factors.items():
+            assert column(outcome, name).tobytes() == (factor * column(base, name)).tobytes(), name
+
+    for nu in (2.0, 0.25, 1024.0, 2.0 ** 900):
+        unchanged = dict.fromkeys(("t", "rayleigh", "log_mass") + U_COLUMNS, 1.0)
+        assert_scaled(run(similarity_config(dim, cells, nu=nu)),
+                      {**unchanged, **dict.fromkeys(V_COLUMNS, nu)})
+    for lam in (2.0, 0.5, 8.0):
+        assert_scaled(run(similarity_config(dim, cells, lam=lam)),
+                      {"min_u": 1.0, "max_u": 1.0, "t": lam ** 2, "min_v": lam ** 2,
+                       "max_v": lam ** 2, "mass": lam ** dim, "log_mass": lam ** dim,
+                       "rayleigh": lam ** (dim - 2), "v_ratio": lam ** (2 - dim)})
+    # nu = 3 is no power of two, so every solve rounds anew.  Measured: within
+    # 8.9e-16 relative on t and u's and v's columns, and 2.8e-13 on rayleigh,
+    # whose gradient of a nearly flat v cancels; the bounds leave 3.5-4.5x
+    third = run(similarity_config(dim, cells, nu=3.0))
+    assert third.steps == base.steps
+    for names, factor, bound in ((("t",) + U_COLUMNS, 1.0, 4e-15), (V_COLUMNS, 3.0, 4e-15),
+                                 (("rayleigh",), 1.0, 1e-12)):
+        for name in names:
+            np.testing.assert_allclose(column(third, name), factor * column(base, name),
+                                       rtol=bound, atol=0.0, err_msg=name)
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def sweep_template(n=16, t_end=0.4):

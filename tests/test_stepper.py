@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -73,15 +74,20 @@ def test_separable_2d_varies_along_first_axis_only():
 
 
 def test_steady_coefficients_are_read_only():
-    # a state keeps a steady spec's a and b for its later steps, so nothing
-    # may write through them
+    # a spec keeps its x profile for later calls, and a steady spec returns it
+    # as it is, so nothing may write through the values or their bases: not
+    # on the spec, and not on one unpickled with its grid, as a sweep job's is
     spec = CoefficientSpec(2.0, eps_x=0.3, mode_k=2.0)
     for grid in (Grid.line(1.0, 16), Grid.box(1.0, 1.0, 8, 4)):
         vals = spec.evaluate(grid, 0.0)
-        assert vals.shape == grid.shape and not vals.flags.writeable
+        clone, clone_grid = pickle.loads(pickle.dumps((spec, grid)))
+        for got in (vals, spec.evaluate(grid, 5.0), clone.evaluate(clone_grid, 0.0)):
+            assert got.shape == grid.shape and np.array_equal(got, vals)
+            while got is not None:
+                assert not got.flags.writeable
+                got = got.base
         with pytest.raises(ValueError):
             vals[...] = 0.0
-        assert np.array_equal(spec.evaluate(grid, 5.0), vals)
 
 
 # --- chemotactic velocity ----------------------------------------------------
@@ -745,43 +751,69 @@ def test_a_reassigned_model_or_config_is_seen_by_the_next_step(monkeypatch):
     assert len(calls) == 1
 
 
-def test_kept_coefficients_never_freeze_a_time_or_a_model(monkeypatch):
-    # time-independent a and b are evaluated once per state and model; a
-    # time-dependent one is evaluated at every step's own t, and a
-    # reassigned model is evaluated afresh at the next step
-    calls = []
-    evaluate = CoefficientSpec.evaluate
+def test_kept_profiles_never_freeze_a_time_or_a_model(monkeypatch):
+    # every full step reads a and b at its own t, bit for bit as a fresh spec
+    # gives them; each spec builds its x profile once on the grid, and a
+    # reassigned model is read at the next step
+    built = []
+    centers = Grid.centers
 
-    def spy(spec, grid, t):
-        calls.append((spec, t))
-        return evaluate(spec, grid, t)
-    monkeypatch.setattr(CoefficientSpec, "evaluate", spy)
+    def counted(grid, axis):
+        built.append(axis)
+        return centers(grid, axis)
+    seen = []
+    rhs = stepper._explicit_rhs
+
+    def spy(u, w, a, b):
+        seen.append((a.tobytes(), b.tobytes()))
+        return rhs(u, w, a, b)
+    monkeypatch.setattr(stepper, "_explicit_rhs", spy)
     grid = Grid.line(1.0, 16)
     u0 = ScalarField.from_function(grid, lambda x: 1.0 + 0.5 * np.cos(np.pi * x))
+    monkeypatch.setattr(Grid, "centers", counted)
 
-    timed = ModelParams(2.0, 1.0, 1.0, CoefficientSpec(2.0, eps_t=0.5, omega=3.0),
-                        CoefficientSpec.constant(1.0))
-    state = initial_state(u0, timed)
+    def fresh(params, t):
+        return tuple(replace(spec).evaluate(grid, t).tobytes()
+                     for spec in (params.coeff_a, params.coeff_b))
+
+    params = ModelParams(2.0, 1.0, 1.0, CoefficientSpec(2.0, eps_x=0.3, eps_t=0.5, omega=3.0),
+                         CoefficientSpec(1.0, eps_t=0.2, omega=-5.0))
+    state = initial_state(u0, params)
     times = []
+    for _ in range(4):
+        times.append(state.t)
+        advance(state)
+    assert built == [0, 0]  # a's and b's profiles, on the first step
+    assert seen == [fresh(params, t) for t in times]
+    assert len(set(seen)) == 4  # a and b moved with t on every step
+    # a new a from the next step on, exactly as on a state built with it;
+    # the two states share the new spec, which builds its profile once
+    state.params = replace(params, coeff_a=CoefficientSpec(3.0, eps_x=-0.2, omega=1.0,
+                                                           eps_t=0.1))
+    want = fresh_copy(state)
+    built.clear()
+    seen.clear()
+    times.clear()
     for _ in range(3):
         times.append(state.t)
         advance(state)
-    assert calls == [(spec, t) for t in times for spec in (timed.coeff_a, timed.coeff_b)]
-
-    params = constant_params(chi=2.0, a=2.0)
-    state = initial_state(u0, params)
-    calls.clear()
-    for _ in range(3):
-        advance(state)
-    assert calls == [(params.coeff_a, 0.0), (params.coeff_b, 0.0)]
-    # a = 3 from the next step on, exactly as on a state built with it
-    state.params = replace(params, coeff_a=CoefficientSpec.constant(3.0))
-    want = fresh_copy(state)
-    t = state.t
-    calls.clear()
-    for _ in range(3):
-        advance(state)
         advance(want)
         assert_same_state(state, want)
-    a3, b = state.params.coeff_a, state.params.coeff_b
-    assert calls == [(a3, t), (b, t)] * 2  # each state's first step only
+    assert built == [0]
+    assert seen[::2] == [fresh(state.params, t) for t in times]
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.7])
+def test_one_spec_alternated_between_grids_gives_each_grids_values(omega):
+    spec = CoefficientSpec(2.0, eps_x=0.3, mode_k=2.0, eps_t=0.4, omega=omega)
+    grids = (Grid.line(1.0, 16), Grid.box(2.0, 1.0, 8, 4), Grid((1.0,) * 3, (6,) * 3),
+             Grid.line(1.0, 16))  # equal to the first, but another object
+    for t in (0.0, 0.3, 0.3, 1.1):
+        for grid in grids:
+            x = grid.centers(0)
+            fx = 2.0 * (1.0 + 0.3 * np.cos(2.0 * np.pi * x / grid.extents[0]))
+            if omega:
+                fx = fx * (1.0 + 0.4 * math.sin(omega * t))
+            want = np.broadcast_to(fx.reshape((-1,) + (1,) * (grid.dim - 1)), grid.shape)
+            got = spec.evaluate(grid, t)
+            assert got.shape == grid.shape and got.tobytes() == want.tobytes()

@@ -61,6 +61,10 @@ CASES = {
     "run_coefficient_x_t_2d": RUN + ["grid.dim=2", "grid.cells=12", "run.t_end=0.03",
                                      "run.diagnostics_every=0.01", "model.a.eps_x=0.3",
                                      "model.a.omega=3"],
+    # and in 3D, over the second and third axes
+    "run_coefficient_x_t_3d": RUN + ["grid.dim=3", "grid.cells=6", "run.t_end=0.02",
+                                     "run.diagnostics_every=0.01", "model.a.eps_x=0.3",
+                                     "model.a.omega=3"],
     "run_growing": RUN + ["grid.cells=8", "model.chi=0", "model.a=2", "ic.kind=constant",
                           "ic.value=1e-3", "run.t_end=4", "run.diagnostics_every=0.1"],
     # settles on u = a/b bit for bit, so most late steps are replays

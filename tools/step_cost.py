@@ -16,8 +16,10 @@ A full step is ``stepper.advance`` on one fixed state that is not a
 fixed point: before every call the state's u, v, extrema and time are put
 back, so every call builds the drift, proposes dt, updates, solves and
 checks, and none replays.  Cases: a 24-cell line with criterion 07's
-chi=3, a=3 (one benchmark cell), a 256-cell line and a 64x64 box, each
-with a Gaussian bump; ``solve_chemical`` is timed on the same densities.
+chi=3, a=3 (one benchmark cell), the same cell with a time-dependent
+a(x, t) = 3*(1 + 0.3*cos(2*pi*x))*(1 + 0.2*sin(3*t)) (``line24_xt``), a
+256-cell line and a 64x64 box, each with a Gaussian bump;
+``solve_chemical`` is timed on the same densities.
 ``compute_record`` is timed on the 256-cell line's state with
 dense_output_256's ``p_list`` (2, 3, 4) and negative power 8.
 
@@ -33,6 +35,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,8 @@ ROUND_S = 0.05  # approximate seconds per round, which sets the calls per round
 CASES = (("line24", (1.0,), (24,), 3.0, 3.0),  # name, extents, cells, chi, a
          ("line256", (1.0,), (256,), 1.0, 1.0),
          ("box64x64", (1.0, 1.0), (64, 64), 1.0, 1.0))
+# the line24 cell again with a time-dependent a(x, t), evaluated on every step
+XT_CASE, XT_A = "line24", dict(base=3.0, eps_x=0.3, mode_k=2.0, eps_t=0.2, omega=3.0)
 RECORD_CASE = "line256"  # dense_output_256 records every step with these exponents
 RECORD_P_LIST, RECORD_NEG_P_LIST = (2.0, 3.0, 4.0), (8.0,)
 
@@ -77,6 +82,9 @@ def make_callables(tree: dict) -> dict:
                                      stepper.CoefficientSpec.constant(1.0))
         state = stepper.initial_state(u, params)
         out[f"step {name}"] = _step_loop(stepper.advance, state)
+        if name == XT_CASE:
+            xt = replace(params, coeff_a=stepper.CoefficientSpec(**XT_A))
+            out[f"step {name}_xt"] = _step_loop(stepper.advance, stepper.initial_state(u, xt))
         out[f"solve {name}"] = _call_loop(elliptic.solve_chemical, u, 1.0, 1.0)
         if name == RECORD_CASE:
             out[f"record {name}"] = _call_loop(tree["diagnostics"].compute_record, state.u,
