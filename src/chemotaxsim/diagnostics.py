@@ -112,6 +112,7 @@ def m_star(u0_mass: float, a_sup: float, b_inf: float, measure: float) -> float:
 
 @dataclass(slots=True)
 class DiagnosticsRecord:
+    """One row of a RecordSeries, as indexing the series rebuilds it."""
     t: float
     mass: float
     min_u: float
@@ -126,62 +127,49 @@ class DiagnosticsRecord:
     grad_ratio: float | None = None
 
 
-def compute_record(u: ScalarField, v: ScalarField, t: float,
-                   p_list: tuple[float, ...] = (),
-                   neg_p_list: tuple[float, ...] = (),
-                   grad_p: float | None = None) -> DiagnosticsRecord:
-    # one finiteness check per field (the mass's of u, the Rayleigh gradient's
-    # of v) and one min; each column equals and raises as its functional does
-    mass = integrate(u)
-    lo_u, lo_v, hi_v = u.min(), v.min(), v.max()
-    return DiagnosticsRecord(
-        t=t,
-        mass=mass,
-        min_u=lo_u,
-        max_u=u.max(),
-        min_v=lo_v,
-        max_v=hi_v,
-        rayleigh=_rayleigh(v, lo_v, hi_v),
-        log_mass=_log_mass(u, lo_u),
-        v_ratio=lo_v / mass if mass > 0 else math.inf,
-        lp_norms={p: _lp_norm(u, p, lo_u) for p in p_list},
-        neg_powers={p: _neg_power(u, p, lo_u) for p in neg_p_list},
-        grad_ratio=grad_ratio(u, v, grad_p) if grad_p is not None else None,
-    )
-
-
 # diagnostics.csv's leading columns: DiagnosticsRecord's first fields, in order
 COLUMNS = ("t", "mass", "min_u", "max_u", "min_v", "max_v", "rayleigh", "log_mass", "v_ratio")
 
 
-def csv_header(p_list: tuple[float, ...] = (), neg_p_list: tuple[float, ...] = (),
-               grad_p: float | None = None) -> str:
-    cols = list(COLUMNS)
-    cols += [f"lp_{p:g}" for p in p_list]
-    cols += [f"negpow_{p:g}" for p in neg_p_list]
+def compute_record(u: ScalarField, v: ScalarField, t: float,
+                   p_list: tuple[float, ...] = (),
+                   neg_p_list: tuple[float, ...] = (),
+                   grad_p: float | None = None) -> list[float]:
+    """diagnostics.csv's row at time t: COLUMNS, then the L^p norms, the
+    negative powers and any grad_ratio, as Python floats."""
+    # one finiteness check per field (the mass's of u, the Rayleigh gradient's
+    # of v) and one min; each column equals and raises as its functional does
+    mass = integrate(u)
+    lo_u, lo_v, hi_v = u.min(), v.min(), v.max()
+    row = [t, mass, lo_u, u.max(), lo_v, hi_v, _rayleigh(v, lo_v, hi_v), _log_mass(u, lo_u),
+           lo_v / mass if mass > 0 else math.inf]
+    row += [_lp_norm(u, p, lo_u) for p in p_list]
+    row += [_neg_power(u, p, lo_u) for p in neg_p_list]
     if grad_p is not None:
-        cols.append(f"grad_ratio_{grad_p:g}")
-    return ",".join(cols)
+        row.append(grad_ratio(u, v, grad_p))
+    return row
 
 
 class RecordSeries(Sequence):
-    """A run's records as one ``array("d")`` of rows in diagnostics.csv's column
-    order, 8 bytes a value.  Indexing rebuilds DiagnosticsRecords equal to the
-    appended ones bit for bit, with ``grad_ratio`` None exactly when ``grad_p`` is."""
+    """A run's rows, as compute_record gives them, in one ``array("d")``, 8
+    bytes a value.  ``names`` is diagnostics.csv's header: COLUMNS, then
+    ``lp_{p:g}``, ``negpow_{p:g}`` and any ``grad_ratio_{p:g}``.  Indexing
+    rebuilds DiagnosticsRecords, with ``grad_ratio`` None exactly when
+    ``grad_p`` is."""
 
     def __init__(self, p_list: tuple[float, ...], neg_p_list: tuple[float, ...],
                  grad_p: float | None):
         self.p_list, self.neg_p_list, self.grad_p = p_list, neg_p_list, grad_p
-        self.width = len(COLUMNS) + len(p_list) + len(neg_p_list) + (grad_p is not None)
+        self.names = (*COLUMNS, *[f"lp_{p:g}" for p in p_list],
+                      *[f"negpow_{p:g}" for p in neg_p_list],
+                      *([f"grad_ratio_{grad_p:g}"] if grad_p is not None else []))
+        self.width = len(self.names)
         self._rows = array("d")
 
-    def append(self, rec: DiagnosticsRecord) -> None:
-        vals = [getattr(rec, name) for name in COLUMNS]
-        vals += [rec.lp_norms[p] for p in self.p_list]
-        vals += [rec.neg_powers[p] for p in self.neg_p_list]
-        if self.grad_p is not None:
-            vals.append(rec.grad_ratio)
-        self._rows.extend(vals)
+    def append(self, row: list[float]) -> None:
+        if len(row) != self.width:
+            raise ValueError(f"a row of {len(row)} values for {self.width} columns")
+        self._rows.extend(row)
 
     def __len__(self) -> int:
         return len(self._rows) // self.width
@@ -197,13 +185,12 @@ class RecordSeries(Sequence):
                                  vals[-1] if self.grad_p is not None else None)
 
     def column(self, name: str) -> array:
-        """One of COLUMNS, or ``"grad_ratio"`` when the series has a grad_p."""
-        grad = name == "grad_ratio" and self.grad_p is not None
-        return self._rows[self.width - 1 if grad else COLUMNS.index(name)::self.width]
+        """The column headed ``name``, one of ``names``."""
+        return self._rows[self.names.index(name)::self.width]
 
     def write_csv(self, fh) -> None:
-        """diagnostics.csv row by row: csv_header, then each row's values as "%.17g" text."""
-        fh.write(csv_header(self.p_list, self.neg_p_list, self.grad_p) + "\n")
+        """diagnostics.csv row by row: ``names``, then each row's values as "%.17g" text."""
+        fh.write(",".join(self.names) + "\n")
         for start in range(0, len(self._rows), self.width):
             fh.write(",".join(["%.17g" % v for v in self._rows[start:start + self.width]]) + "\n")
 

@@ -125,6 +125,8 @@ class RunConfig:
         # the ranges the monitored functionals are defined on
         if not all(1.0 <= p < math.inf for p in self.p_list):
             raise ConfigError(f"diagnostics.p_list needs each p finite and >= 1, got {self.p_list}")
+        if len({f"{p:g}" for p in self.p_list}) < len(self.p_list):
+            raise ConfigError(f"diagnostics.p_list repeats an lp_{{p:g}} column, got {self.p_list}")
         if self.grad_p is not None and not 1.0 < self.grad_p < self.grid.dim:
             raise ConfigError(f"diagnostics.grad_p needs 1 < p < grid.dim={self.grid.dim}, "
                               f"got {self.grad_p}")
@@ -410,7 +412,7 @@ def _summarize(config: RunConfig, outcome: RunOutcome, neg_p, thr: ThresholdVerd
             "c_obs": max(0.0, -min_slope) if min_slope is not None else None,
         }
         if config.grad_p is not None:
-            summary["grad_ratio_max"] = max(records.column("grad_ratio"))
+            summary["grad_ratio_max"] = max(records.column(f"grad_ratio_{config.grad_p:g}"))
     return summary
 
 

@@ -142,7 +142,9 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
                      "grid.cells=16 ic.kind=random ic.baseline=1e308 ic.amplitude=1e308",
                      # exponents outside the monitored functionals' ranges
                      "diagnostics.p_list=0.5", "diagnostics.p_list=2,inf",
-                     "diagnostics.p_list=nan", "diagnostics.grad_p=1.5"):
+                     "diagnostics.p_list=nan", "diagnostics.grad_p=1.5",
+                     # exponents whose lp_{p:g} column names repeat
+                     "diagnostics.p_list=2,2", "diagnostics.p_list=2,2.0000001"):
         assert main(["run", str(cfg_path), *override.split(),
                      "--outdir", str(tmp_path / "out")]) == 2, override
 

@@ -218,14 +218,14 @@ def test_grad_ratio_needs_2d():
 
 
 def test_csv_header_and_row_are_stable():
-    header = diag.csv_header((2.0,), (8.0,), None)
-    assert header == "t,mass,min_u,max_u,min_v,max_v,rayleigh,log_mass,v_ratio,lp_2,negpow_8"
+    header = "t,mass,min_u,max_u,min_v,max_v,rayleigh,log_mass,v_ratio,lp_2,negpow_8"
+    series = diag.RecordSeries((2.0,), (8.0,), None)
+    assert ",".join(series.names) == header
+    series.append([0.5, 1.0, 0.1, 2.0, 0.3, 0.9, 0.01, -0.2, 0.3, 1.5, 42.0])
     rec = diag.DiagnosticsRecord(t=0.5, mass=1.0, min_u=0.1, max_u=2.0,
                                  min_v=0.3, max_v=0.9, rayleigh=0.01,
                                  log_mass=-0.2, v_ratio=0.3,
                                  lp_norms={2.0: 1.5}, neg_powers={8.0: 42.0})
-    series = diag.RecordSeries((2.0,), (8.0,), None)
-    series.append(rec)
     fh = io.StringIO()
     series.write_csv(fh)
     assert fh.getvalue() == header + "\n" + row_text(rec) + "\n"
@@ -244,33 +244,47 @@ SPECIAL = [-0.0, math.inf, -math.inf, _double(0x7FF8000000000001), _double(0xFFF
            5e-324, 1.7976931348623157e308, 0.1, 0.0]
 
 
+def _word(x) -> bytes:
+    assert type(x) is float
+    return struct.pack("<d", x)
+
+
 def _bits(rec: diag.DiagnosticsRecord):
     """A record's values as bit patterns, each checked to be a Python float,
     with its dict keys in order."""
-    def word(x):
-        assert type(x) is float
-        return struct.pack("<d", x)
-    return ([word(getattr(rec, name)) for name in diag.COLUMNS],
-            [(p, word(v)) for p, v in rec.lp_norms.items()],
-            [(p, word(v)) for p, v in rec.neg_powers.items()],
-            None if rec.grad_ratio is None else word(rec.grad_ratio))
+    return ([_word(getattr(rec, name)) for name in diag.COLUMNS],
+            [(p, _word(v)) for p, v in rec.lp_norms.items()],
+            [(p, _word(v)) for p, v in rec.neg_powers.items()],
+            None if rec.grad_ratio is None else _word(rec.grad_ratio))
 
 
-@pytest.mark.parametrize("p_list, neg_p, grad_p", [
-    ((), (), None), ((), (), 1.5), ((3.5, 1.0, 2.0), (8.0,), None), ((2.0,), (8.0, 0.5), 2.5)])
+# (p_list, neg_p_list, grad_p) -> the header's names after COLUMNS
+SERIES_TAILS = {((), (), None): "", ((), (), 1.5): ",grad_ratio_1.5",
+                ((3.5, 1.0, 2.0), (8.0,), None): ",lp_3.5,lp_1,lp_2,negpow_8",
+                ((2.0,), (8.0, 0.5), 2.5): ",lp_2,negpow_8,negpow_0.5,grad_ratio_2.5"}
+
+
+@pytest.mark.parametrize("p_list, neg_p, grad_p", list(SERIES_TAILS))
 def test_record_series_returns_records_bit_for_bit(p_list, neg_p, grad_p):
+    header = ("t,mass,min_u,max_u,min_v,max_v,rayleigh,log_mass,v_ratio"
+              + SERIES_TAILS[p_list, neg_p, grad_p])
     series = diag.RecordSeries(p_list, neg_p, grad_p)
     assert isinstance(series, Sequence) and len(series) == 0 and not series
-    records = []
+    assert ",".join(series.names) == header and series.width == len(header.split(","))
+    rows, records = [], []
     for k in range(len(SPECIAL)):  # every column takes every special value
         vals = SPECIAL[k:] + SPECIAL[:k]
-        rec = diag.DiagnosticsRecord(
-            *vals, lp_norms={p: vals[i % 9] for i, p in enumerate(p_list, 1)},
-            neg_powers={p: vals[i % 9] for i, p in enumerate(neg_p, 4)},
-            grad_ratio=vals[-1] if grad_p is not None else None)
-        series.append(rec)
-        records.append(rec)
-    assert series.width == len(diag.csv_header(p_list, neg_p, grad_p).split(","))
+        lp = [vals[i % 9] for i in range(1, len(p_list) + 1)]
+        negpow = [vals[i % 9] for i in range(4, len(neg_p) + 4)]
+        grad = [vals[-1]] if grad_p is not None else []
+        rows.append(vals + lp + negpow + grad)
+        records.append(diag.DiagnosticsRecord(*vals, dict(zip(p_list, lp)),
+                                              dict(zip(neg_p, negpow)), *grad))
+        series.append(rows[-1])
+    # a row of the wrong width is rejected and leaves the series as it was
+    for bad in (rows[0][:-1], rows[0] + [0.0]):
+        with pytest.raises(ValueError):
+            series.append(bad)
     assert len(series) == len(records)
     expected = [_bits(r) for r in records]
     assert [_bits(r) for r in series] == expected
@@ -280,31 +294,41 @@ def test_record_series_returns_records_bit_for_bit(p_list, neg_p, grad_p):
     for index in (len(records), -len(records) - 1):
         with pytest.raises(IndexError):
             series[index]
-    assert [_bits(r) for r in pickle.loads(pickle.dumps(series))] == expected
-    assert [struct.pack("<d", v) for v in series.column("mass")] == [e[0][1] for e in expected]
-    if grad_p is not None:
-        assert [struct.pack("<d", v) for v in series.column("grad_ratio")] == [
-            e[3] for e in expected]
-    else:
+    unpickled = pickle.loads(pickle.dumps(series))
+    assert [_bits(r) for r in unpickled] == expected
+    # every header name reads its column, also after a pickle
+    for copy in (series, unpickled):
+        for j, name in enumerate(header.split(",")):
+            assert [_word(v) for v in copy.column(name).tolist()] == [
+                _word(row[j]) for row in rows], name
+    for name in ("grad_ratio", "lp_9", "negpow_2.5"):
         with pytest.raises(ValueError):
-            series.column("grad_ratio")
+            series.column(name)
     fh = io.StringIO()
     series.write_csv(fh)
-    assert fh.getvalue().splitlines() == [diag.csv_header(p_list, neg_p, grad_p)] + [
-        row_text(r) for r in records]
+    assert fh.getvalue().splitlines() == [header] + [row_text(r) for r in records]
+
+
+def _named(row, p_list=(), neg_p_list=(), grad_p=None) -> dict:
+    """compute_record's row keyed by its header names, each checked to be a
+    Python float."""
+    names = diag.RecordSeries(p_list, neg_p_list, grad_p).names
+    assert len(row) == len(names) and all(type(x) is float for x in row)
+    return dict(zip(names, row))
 
 
 def test_compute_record_from_solver_state():
     g = Grid.line(1.0, 64)
     u = ScalarField.from_function(g, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
     v = solve_chemical(u, 1.0, 1.0)
-    rec = diag.compute_record(u, v, t=1.25, p_list=(2.0, 3.0), neg_p_list=(2.0,))
-    assert rec.t == 1.25
-    assert rec.mass == pytest.approx(integrate(u))
-    assert rec.min_v > 0.0
-    assert rec.v_ratio == pytest.approx(rec.min_v / rec.mass)
-    assert set(rec.lp_norms) == {2.0, 3.0}
-    assert math.isfinite(rec.neg_powers[2.0])
+    rec = _named(diag.compute_record(u, v, t=1.25, p_list=(2.0, 3.0), neg_p_list=(2.0,)),
+                 (2.0, 3.0), (2.0,))
+    assert rec["t"] == 1.25
+    assert rec["mass"] == pytest.approx(integrate(u))
+    assert rec["min_v"] > 0.0
+    assert rec["v_ratio"] == pytest.approx(rec["min_v"] / rec["mass"])
+    assert list(rec)[-3:] == ["lp_2", "lp_3", "negpow_2"]
+    assert math.isfinite(rec["negpow_2"])
 
 
 def test_compute_record_error_precedence():
@@ -337,8 +361,8 @@ def test_compute_record_error_precedence():
     with pytest.raises(ParameterError, match="^grad_ratio needs 1 < p < dim=1, got 1.5$"):
         record(u_neg, ones, neg_p_list=(1.0,), grad_p=1.5)
     # a negative u with no p_list is a degeneracy flag, not an error
-    rec = record(u_neg, ones, neg_p_list=(2.0,))
-    assert (rec.log_mass, rec.neg_powers[2.0]) == (-math.inf, math.inf)
+    rec = _named(record(u_neg, ones, neg_p_list=(2.0,)), (), (2.0,))
+    assert (rec["log_mass"], rec["negpow_2"]) == (-math.inf, math.inf)
 
 
 def _record_cases():
@@ -356,20 +380,21 @@ def _record_cases():
 def test_record_fields_equal_the_public_functionals_bit_for_bit(name, u, grad_p):
     v = solve_chemical(u, 1.0, 1.0)
     p_list, neg_p_list = (1.0, 2.0, 3.5), (2.0, 8.0)
-    rec = diag.compute_record(u, v, 0.5, p_list, neg_p_list, grad_p)
+    rec = _named(diag.compute_record(u, v, 0.5, p_list, neg_p_list, grad_p),
+                 p_list, neg_p_list, grad_p)
     mass = integrate(u)
-    expected = {"mass": mass, "min_u": u.min(), "max_u": u.max(), "min_v": v.min(),
+    expected = {"t": 0.5, "mass": mass, "min_u": u.min(), "max_u": u.max(), "min_v": v.min(),
                 "max_v": v.max(), "rayleigh": diag.rayleigh(v), "log_mass": diag.log_mass(u),
-                "v_ratio": v.min() / mass,
-                "grad_ratio": diag.grad_ratio(u, v, grad_p) if grad_p else None}
-    expected.update({f"lp_{p}": diag.lp_norm(u, p) for p in p_list})
-    expected.update({f"negpow_{p}": diag.neg_power(u, p) for p in neg_p_list})
-    got = {key: getattr(rec, key) for key in expected if hasattr(rec, key)}
-    got.update({f"lp_{p}": rec.lp_norms[p] for p in p_list})
-    got.update({f"negpow_{p}": rec.neg_powers[p] for p in neg_p_list})
-    assert {k: repr(val) for k, val in got.items()} == {k: repr(val) for k, val in expected.items()}
+                "v_ratio": v.min() / mass}
+    expected.update(zip(("lp_1", "lp_2", "lp_3.5"), [diag.lp_norm(u, p) for p in p_list]))
+    expected.update(zip(("negpow_2", "negpow_8"), [diag.neg_power(u, p) for p in neg_p_list]))
+    if grad_p:
+        expected["grad_ratio_1.5"] = diag.grad_ratio(u, v, grad_p)
+    # the row's columns in the header's order, each the functional's value bit for bit
+    assert [(k, repr(val)) for k, val in rec.items()] == [
+        (k, repr(val)) for k, val in expected.items()]
     if name == "underflow":
-        assert rec.log_mass == -math.inf and rec.neg_powers[8.0] == math.inf
+        assert rec["log_mass"] == -math.inf and rec["negpow_8"] == math.inf
 
 
 def test_a_record_checks_each_field_once(monkeypatch):
@@ -396,13 +421,11 @@ def test_a_record_checks_each_field_once(monkeypatch):
 def test_row_values_are_formatted_as_format_17g(tmp_path):
     from chemotaxsim.mesh import write_snapshot
     vals = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0]
-    rec = diag.DiagnosticsRecord(*vals, 2.5, lp_norms={2.0: 1e-300}, neg_powers={8.0: -1e300},
-                                 grad_ratio=math.nan)
+    expected = vals + [2.5, 1e-300, -1e300, math.nan]
     series = diag.RecordSeries((2.0,), (8.0,), 1.5)
-    series.append(rec)
+    series.append(expected)
     fh = io.StringIO()
     series.write_csv(fh)
-    expected = vals + [2.5, 1e-300, -1e300, math.nan]
     assert fh.getvalue().splitlines()[1] == ",".join(format(v, ".17g") for v in expected)
     path = tmp_path / "row.field"
     write_snapshot(ScalarField(Grid.box(1.0, 1.0, 2, 4), np.reshape(vals, (2, 4))), 0.0, path)

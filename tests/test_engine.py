@@ -210,9 +210,10 @@ def test_run_writes_diagnostics_without_holding_the_file(tmp_path):
     neg_p = outcome.summary["monitored_neg_p"]
     # the outcome holds its records at 8 bytes a value, with room for the
     # array's growth and the summary
-    width = len(diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p).split(","))
+    rows = [",".join([*diagnostics.COLUMNS, "lp_1", "lp_2", "lp_3.5"]
+                     + [f"negpow_{p:g}" for p in neg_p])]
+    width = len(rows[0].split(","))
     assert held <= 1.5 * 8 * width * len(outcome.records), (held, width, len(outcome.records))
-    rows = [diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p)]
     rows += [row_text(r) for r in outcome.records]
     assert Path(outcome.diagnostics_path).read_text() == "\n".join(rows) + "\n"
 
@@ -331,11 +332,13 @@ def test_2d_run_smoke(tmp_path):
                                   amplitude=1.0, baseline=0.2),
                         grad_p=1.5)
         outcome = run(cfg, outdir=tmp_path / f"dim{grid.dim}")
-        # the file is csv_header, then each record's "%.17g" row, grad_ratio column included
+        # the file is the series' names, then each record's "%.17g" row, grad_ratio
+        # column included
         neg_p = outcome.summary["monitored_neg_p"]
         header, *rows = Path(outcome.diagnostics_path).read_text().splitlines()
-        assert header == diagnostics.csv_header(cfg.p_list, neg_p, cfg.grad_p)
-        assert len(header.split(",")) == outcome.records.width
+        assert header == ",".join([*diagnostics.COLUMNS, "lp_2"] + [
+            f"negpow_{p:g}" for p in neg_p] + ["grad_ratio_1.5"])
+        assert header.split(",") == list(outcome.records.names)
         assert header.endswith(",grad_ratio_1.5") and len(rows) == len(outcome.records) > 40
         assert rows == [row_text(outcome.records[i]) for i in range(len(outcome.records))]
         assert outcome.verdict in ("CompletedBounded", "CompletedGrowing")
@@ -399,8 +402,7 @@ def test_summary_log_mass_slope_minimum():
     def trend(t, log_mass):
         records = diagnostics.RecordSeries(cfg.p_list, (), None)
         for t_i, lm in zip(t, log_mass):
-            records.append(diagnostics.DiagnosticsRecord(t_i, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
-                                                         lm, 1.0, {2.0: 1.0}))
+            records.append([t_i, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, lm, 1.0, 1.0])
         outcome = engine.RunOutcome(engine.VERDICT_BOUNDED, None, None, t[-1], len(t),
                                     1.0, 1.0, records)
         found = engine._summarize(cfg, outcome, (), thr)["log_mass_trend"]
@@ -459,7 +461,7 @@ def column(outcome, name):
     """One column of a run's records as float64, or ``"lp"``: every L^p norm."""
     records = outcome.records
     if name == "lp":
-        return np.array([[rec.lp_norms[p] for p in records.p_list] for rec in records])
+        return np.column_stack([records.column(f"lp_{p:g}") for p in records.p_list])
     return np.asarray(records.column(name))
 
 

@@ -94,6 +94,8 @@ CASES = {
     "config_error_dt_min_inf": RUN + ["stepper.dt_min=inf"],
     "config_error_v_floor_inf": RUN + ["stepper.v_floor=inf"],
     "config_error_p_list_inf": RUN + ["diagnostics.p_list=2,inf"],
+    # two exponents whose lp_{p:g} column names are the same
+    "config_error_p_list_repeat": RUN + ["diagnostics.p_list=2,2.0000001"],
     "sweep_config_error_axis_value": ["sweep", "{cfg}", "--axis", "mu=1,-1", "--outdir", "{out}"],
     "sweep_config_error_workers_0": SWEEP + ["--workers", "0"],
     "sweep_workers_1": SWEEP + ["--workers", "1"],
