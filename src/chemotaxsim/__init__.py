@@ -2,9 +2,8 @@
 chemotaxis system with singular sensitivity and logistic growth."""
 
 from .checks import self_check
-from .diagnostics import (DiagnosticsRecord, check_mass_bound, check_persistence,
-                          compute_record, grad_ratio, log_mass,
-                          lp_norm, m_star, neg_power, rayleigh,
+from .diagnostics import (check_mass_bound, check_persistence, compute_record, grad_ratio,
+                          log_mass, lp_norm, m_star, neg_power, rayleigh,
                           reverse_holder_check)
 from .elliptic import EllipticConfig, solve_chemical
 from .engine import (ICSpec, RunConfig, RunOutcome, SweepResult, build_ic,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,24 +111,7 @@ def m_star(u0_mass: float, a_sup: float, b_inf: float, measure: float) -> float:
     return u0_mass if a_sup == 0.0 else math.inf
 
 
-@dataclass(slots=True)
-class DiagnosticsRecord:
-    """One row of a RecordSeries, as indexing the series rebuilds it."""
-    t: float
-    mass: float
-    min_u: float
-    max_u: float
-    min_v: float
-    max_v: float
-    rayleigh: float
-    log_mass: float
-    v_ratio: float
-    lp_norms: dict[float, float] = field(default_factory=dict)
-    neg_powers: dict[float, float] = field(default_factory=dict)
-    grad_ratio: float | None = None
-
-
-# diagnostics.csv's leading columns: DiagnosticsRecord's first fields, in order
+# diagnostics.csv's leading columns, in order
 COLUMNS = ("t", "mass", "min_u", "max_u", "min_v", "max_v", "rayleigh", "log_mass", "v_ratio")
 
 
@@ -153,16 +137,17 @@ def compute_record(u: ScalarField, v: ScalarField, t: float,
 class RecordSeries(Sequence):
     """A run's rows, as compute_record gives them, in one ``array("d")``, 8
     bytes a value.  ``names`` is diagnostics.csv's header: COLUMNS, then
-    ``lp_{p:g}``, ``negpow_{p:g}`` and any ``grad_ratio_{p:g}``.  Indexing
-    rebuilds DiagnosticsRecords, with ``grad_ratio`` None exactly when
-    ``grad_p`` is."""
+    ``lp_{p:g}``, ``negpow_{p:g}`` and any ``grad_ratio_{p:g}``; a repeated
+    name is a ValueError.  Indexing returns a row whose attributes are the
+    header names (``getattr(row, "lp_3.5")``)."""
 
     def __init__(self, p_list: tuple[float, ...], neg_p_list: tuple[float, ...],
                  grad_p: float | None):
-        self.p_list, self.neg_p_list, self.grad_p = p_list, neg_p_list, grad_p
         self.names = (*COLUMNS, *[f"lp_{p:g}" for p in p_list],
                       *[f"negpow_{p:g}" for p in neg_p_list],
                       *([f"grad_ratio_{grad_p:g}"] if grad_p is not None else []))
+        if len(set(self.names)) < len(self.names):
+            raise ValueError(f"repeated column names in {self.names}")
         self.width = len(self.names)
         self._rows = array("d")
 
@@ -174,15 +159,10 @@ class RecordSeries(Sequence):
     def __len__(self) -> int:
         return len(self._rows) // self.width
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]  # negative indices from the end; IndexError past either end
-        vals = self._rows[i * self.width:(i + 1) * self.width].tolist()
-        neg = len(COLUMNS) + len(self.p_list)
-        return DiagnosticsRecord(*vals[:len(COLUMNS)], dict(zip(self.p_list, vals[len(COLUMNS):])),
-                                 dict(zip(self.neg_p_list, vals[neg:])),
-                                 vals[-1] if self.grad_p is not None else None)
+    def __getitem__(self, i: int) -> SimpleNamespace:
+        i = range(len(self))[i]  # negative indices from the end; IndexError past either end
+        row = self._rows[i * self.width:(i + 1) * self.width]
+        return SimpleNamespace(**dict(zip(self.names, row)))
 
     def column(self, name: str) -> array:
         """The column headed ``name``, one of ``names``."""

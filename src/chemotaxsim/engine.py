@@ -74,8 +74,8 @@ class ICSpec:
 
 
 def build_ic(grid: Grid, ic: ICSpec, default_seed: int = 0) -> ScalarField:
-    # an overflow is reported once, by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow or a division by zero is reported once, by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if ic.kind == "constant":
             u0 = ScalarField.full(grid, ic.value)
         elif ic.kind == "gaussian":
@@ -122,11 +122,18 @@ class RunConfig:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if not (0 <= self.diagnostics_every < math.inf and 0 <= self.snapshot_every < math.inf):
             raise ConfigError("cadence intervals must be finite and >= 0")
+        # a cadence point's index is t/interval, so t_end/interval must be finite
+        if not (self.cadence > 0 and self.t_end / self.cadence < math.inf
+                and (self.snapshot_every == 0 or self.t_end / self.snapshot_every < math.inf)):
+            raise ConfigError(f"cadence intervals are too small for t_end={self.t_end}")
         # the ranges the monitored functionals are defined on
         if not all(1.0 <= p < math.inf for p in self.p_list):
             raise ConfigError(f"diagnostics.p_list needs each p finite and >= 1, got {self.p_list}")
-        if len({f"{p:g}" for p in self.p_list}) < len(self.p_list):
-            raise ConfigError(f"diagnostics.p_list repeats an lp_{{p:g}} column, got {self.p_list}")
+        try:  # a series rejects repeated column names
+            diag.RecordSeries(self.p_list, (), None)
+        except ValueError:
+            raise ConfigError(f"diagnostics.p_list repeats an lp_{{p:g}} column, "
+                              f"got {self.p_list}") from None
         if self.grad_p is not None and not 1.0 < self.grad_p < self.grid.dim:
             raise ConfigError(f"diagnostics.grad_p needs 1 < p < grid.dim={self.grid.dim}, "
                               f"got {self.grad_p}")
@@ -321,9 +328,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
     records = diag.RecordSeries(config.p_list, neg_p, config.grad_p)
     eps_t = 1e-12 * max(1.0, config.t_end)
     cadence = config.cadence
-    k_diag = 0
-    k_snap = 0
-    n_snap = 0
+    k_diag = k_snap = n_snap = 0
     peak_u = -math.inf
     min_v = math.inf
     state = None

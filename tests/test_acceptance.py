@@ -293,10 +293,10 @@ def test_property_negative_power_stays_controlled(bounded_regime_runs):
     cfg, outcome = next((c, o) for c, o in bounded_regime_runs
                         if c.params.chi == 1.0)
     window = beta_window(cfg.params.chi, cfg.params.mu, cfg.params.coeff_a.inf)
-    p_hat = window.p_hat
-    series = [(rec.t, rec.neg_powers[p_hat]) for rec in outcome.records
-              if p_hat in rec.neg_powers]
-    assert series, "negative-power exponent was not auto-monitored"
+    name = f"negpow_{window.p_hat:g}"
+    assert name in outcome.records.names, "negative-power exponent was not auto-monitored"
+    series = [(rec.t, getattr(rec, name)) for rec in outcome.records]
+    assert series
     ref = next(v for t, v in series if t >= 1.0)
     later = [v for t, v in series if t >= 1.0]
     assert all(v <= 2.0 * ref for v in later)
@@ -307,7 +307,7 @@ def test_property_lp_norms_bounded_in_tail(bounded_regime_runs):
     # the monitored L^p series obeys the same tail-trend boundedness as the
     # sup norm in the above-threshold regime
     for cfg, outcome in bounded_regime_runs:
-        series = [rec.lp_norms[2.0] for rec in outcome.records]
+        series = [rec.lp_2 for rec in outcome.records]
         n = len(series)
         middle = series[n // 3:2 * n // 3]
         final = series[2 * n // 3:]

@@ -125,6 +125,10 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     for override in ("run.t_end=nan", "run.t_end=inf", "run.diagnostics_every=inf",
                      "run.snapshot_every=nan", "model.mu=nan", "model.nu=inf",
+                     # cadence intervals so small that t_end/interval is not finite,
+                     # and a t_end whose default cadence t_end/100 is 0
+                     "run.diagnostics_every=1e-320", "run.snapshot_every=1e-320",
+                     "run.t_end=1e-322 run.diagnostics_every=0",
                      "grid.dim=1 grid.cells=16,16",
                      "grid.dim=2 grid.cells=8,8,8 grid.extent=1,2,3",
                      "grid.dim=3 grid.cells=8 ic.kind=gaussian ic.center=0.2,0.8",

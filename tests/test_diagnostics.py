@@ -3,6 +3,7 @@ import math
 import pickle
 import struct
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,13 +223,12 @@ def test_csv_header_and_row_are_stable():
     series = diag.RecordSeries((2.0,), (8.0,), None)
     assert ",".join(series.names) == header
     series.append([0.5, 1.0, 0.1, 2.0, 0.3, 0.9, 0.01, -0.2, 0.3, 1.5, 42.0])
-    rec = diag.DiagnosticsRecord(t=0.5, mass=1.0, min_u=0.1, max_u=2.0,
-                                 min_v=0.3, max_v=0.9, rayleigh=0.01,
-                                 log_mass=-0.2, v_ratio=0.3,
-                                 lp_norms={2.0: 1.5}, neg_powers={8.0: 42.0})
+    rec = SimpleNamespace(t=0.5, mass=1.0, min_u=0.1, max_u=2.0, min_v=0.3, max_v=0.9,
+                          rayleigh=0.01, log_mass=-0.2, v_ratio=0.3, lp_2=1.5, negpow_8=42.0)
+    assert series[0] == rec
     fh = io.StringIO()
     series.write_csv(fh)
-    assert fh.getvalue() == header + "\n" + row_text(rec) + "\n"
+    assert fh.getvalue() == header + "\n" + row_text(rec, header.split(",")) + "\n"
     row = fh.getvalue().splitlines()[1]
     assert row.split(",")[0] == "0.5"
     assert row.split(",")[-1] == "42"
@@ -249,13 +249,11 @@ def _word(x) -> bytes:
     return struct.pack("<d", x)
 
 
-def _bits(rec: diag.DiagnosticsRecord):
-    """A record's values as bit patterns, each checked to be a Python float,
-    with its dict keys in order."""
-    return ([_word(getattr(rec, name)) for name in diag.COLUMNS],
-            [(p, _word(v)) for p, v in rec.lp_norms.items()],
-            [(p, _word(v)) for p, v in rec.neg_powers.items()],
-            None if rec.grad_ratio is None else _word(rec.grad_ratio))
+def _bits(row: SimpleNamespace, names) -> list[tuple[str, bytes]]:
+    """A row's attributes, checked to be exactly ``names``, as (name, bit
+    pattern) pairs, each value checked to be a Python float."""
+    assert list(vars(row)) == list(names)
+    return [(name, _word(getattr(row, name))) for name in names]
 
 
 # (p_list, neg_p_list, grad_p) -> the header's names after COLUMNS
@@ -268,45 +266,56 @@ SERIES_TAILS = {((), (), None): "", ((), (), 1.5): ",grad_ratio_1.5",
 def test_record_series_returns_records_bit_for_bit(p_list, neg_p, grad_p):
     header = ("t,mass,min_u,max_u,min_v,max_v,rayleigh,log_mass,v_ratio"
               + SERIES_TAILS[p_list, neg_p, grad_p])
+    names = header.split(",")
     series = diag.RecordSeries(p_list, neg_p, grad_p)
     assert isinstance(series, Sequence) and len(series) == 0 and not series
-    assert ",".join(series.names) == header and series.width == len(header.split(","))
-    rows, records = [], []
+    assert list(series.names) == names and series.width == len(names)
+    assert set(vars(series)) == {"names", "width", "_rows"}
+    rows = []
     for k in range(len(SPECIAL)):  # every column takes every special value
         vals = SPECIAL[k:] + SPECIAL[:k]
         lp = [vals[i % 9] for i in range(1, len(p_list) + 1)]
         negpow = [vals[i % 9] for i in range(4, len(neg_p) + 4)]
         grad = [vals[-1]] if grad_p is not None else []
         rows.append(vals + lp + negpow + grad)
-        records.append(diag.DiagnosticsRecord(*vals, dict(zip(p_list, lp)),
-                                              dict(zip(neg_p, negpow)), *grad))
         series.append(rows[-1])
     # a row of the wrong width is rejected and leaves the series as it was
     for bad in (rows[0][:-1], rows[0] + [0.0]):
         with pytest.raises(ValueError):
             series.append(bad)
-    assert len(series) == len(records)
-    expected = [_bits(r) for r in records]
-    assert [_bits(r) for r in series] == expected
-    assert _bits(series[-1]) == expected[-1] and _bits(series[-9]) == expected[0]
-    assert [_bits(r) for r in series[2:8:3]] == expected[2:8:3]
-    assert [_bits(r) for r in series[::-1]] == expected[::-1]
-    for index in (len(records), -len(records) - 1):
+    assert len(series) == len(rows)
+    expected = [list(zip(names, map(_word, row))) for row in rows]
+    assert [_bits(r, names) for r in series] == expected
+    assert _bits(series[-1], names) == expected[-1] and _bits(series[-9], names) == expected[0]
+    assert [_bits(r, names) for r in reversed(series)] == expected[::-1]
+    for index in (len(rows), -len(rows) - 1):
         with pytest.raises(IndexError):
             series[index]
     unpickled = pickle.loads(pickle.dumps(series))
-    assert [_bits(r) for r in unpickled] == expected
-    # every header name reads its column, also after a pickle
+    assert [_bits(r, names) for r in unpickled] == expected
+    # every header name reads its column, also after a pickle, and each row's
+    # attribute of that name is the column's value
     for copy in (series, unpickled):
-        for j, name in enumerate(header.split(",")):
-            assert [_word(v) for v in copy.column(name).tolist()] == [
-                _word(row[j]) for row in rows], name
+        for j, name in enumerate(names):
+            column = [_word(v) for v in copy.column(name).tolist()]
+            assert column == [_word(row[j]) for row in rows], name
+            assert [_word(getattr(r, name)) for r in copy] == column, name
     for name in ("grad_ratio", "lp_9", "negpow_2.5"):
         with pytest.raises(ValueError):
             series.column(name)
     fh = io.StringIO()
     series.write_csv(fh)
-    assert fh.getvalue().splitlines() == [header] + [row_text(r) for r in records]
+    assert fh.getvalue().splitlines() == [header] + [row_text(r, names) for r in series]
+
+
+def test_record_series_rejects_repeated_names():
+    # p = 2 and 2.0000001 both name lp_2; a norm and a negative power of the
+    # same p do not clash
+    for p_list in ((2.0, 2.0), (2.0, 2.0000001)):
+        with pytest.raises(ValueError, match="^repeated column names in "):
+            diag.RecordSeries(p_list, (), None)
+    assert diag.RecordSeries((2.0,), (2.0,), 2.0).names[-3:] == ("lp_2", "negpow_2",
+                                                                  "grad_ratio_2")
 
 
 def _named(row, p_list=(), neg_p_list=(), grad_p=None) -> dict:

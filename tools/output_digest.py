@@ -1,11 +1,11 @@
 """Digest of every CLI output byte over a fixed list of cases.
 
 Runs each case through ``chemotaxsim.cli.main`` in a fresh temporary
-directory and prints, per case, the exit code, the number of warnings raised,
-and the SHA-256 of stdout, of stderr (with the temporary path replaced by
-``<tmp>``) and of each output file.  Two trees whose digests match wrote the
-same bytes for every case.  Nothing is written outside the temporary
-directory.
+directory and prints, per case, the exit code (or the type of an uncaught
+exception), the number of warnings raised, and the SHA-256 of stdout, of
+stderr (with the temporary path replaced by ``<tmp>``) and of each output
+file.  Two trees whose digests match wrote the same bytes for every case.
+Nothing is written outside the temporary directory.
 
 Compare a change with its parent::
 
@@ -96,6 +96,10 @@ CASES = {
     "config_error_p_list_inf": RUN + ["diagnostics.p_list=2,inf"],
     # two exponents whose lp_{p:g} column names are the same
     "config_error_p_list_repeat": RUN + ["diagnostics.p_list=2,2.0000001"],
+    # t_end/interval overflows, so a cadence point's index is not finite
+    "config_error_cadence_overflow": RUN + ["run.diagnostics_every=1e-320"],
+    # width**2 underflows to 0: the Gaussian divides by zero
+    "config_error_ic_width_underflow": RUN + ["ic.width=1e-200"],
     "sweep_config_error_axis_value": ["sweep", "{cfg}", "--axis", "mu=1,-1", "--outdir", "{out}"],
     "sweep_config_error_workers_0": SWEEP + ["--workers", "0"],
     "sweep_workers_1": SWEEP + ["--workers", "1"],
@@ -129,6 +133,8 @@ def run_case(main, name: str, argv: list[str], root: Path) -> list[str]:
             code = main(argv)
         except SystemExit as exc:  # argparse errors
             code = exc.code
+        except Exception as exc:  # an uncaught error is a result too
+            code = type(exc).__name__
     lines = [f"{name} exit={code} warnings={len(caught)}"]
     for label, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
         lines.append(f"  {label} {_sha(text.replace(str(case_dir), '<tmp>').encode())}")
