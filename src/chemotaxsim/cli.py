@@ -65,8 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = engine.load_config(args.config, args.overrides)
-    outdir = args.outdir or config.outdir or "out"
-    outcome = engine.run(config, outdir=outdir)
+    outcome = engine.run(config, outdir=args.outdir or config.outdir or "out")
     facts = {k: v for k, v in outcome.facts().items() if k != "failure"}
     print(json.dumps(engine._json_safe({**facts, "diagnostics": outcome.diagnostics_path,
                                         "summary": outcome.summary_path}), indent=2))
@@ -88,9 +87,8 @@ def _parse_axes(specs: list[str]) -> list[tuple[str, list[float]]]:
 
 def _cmd_sweep(args) -> int:
     config = engine.load_config(args.config, args.overrides)
-    outdir = args.outdir or config.outdir or "out"
-    result = engine.sweep(config, _parse_axes(args.axis), outdir=outdir,
-                          workers=args.workers)
+    result = engine.sweep(config, _parse_axes(args.axis),
+                          outdir=args.outdir or config.outdir or "out", workers=args.workers)
     verdicts = [o.verdict for o in result.outcomes]
     print(json.dumps({
         "cells": len(verdicts),

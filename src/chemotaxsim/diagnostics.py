@@ -26,16 +26,23 @@ HOLDER_SLACK = 1e-12
 
 def lp_norm(f: ScalarField, p: float) -> float:
     """(int f^p)^(1/p); p finite and >= 1, possibly non-integer, f >= 0."""
-    return _lp_norm(f, p, None)
+    return _lp_norm(f, p, None, None)
 
 
-def _lp_norm(f: ScalarField, p: float, lo: float | None) -> float:
-    # lo: the minimum of an f known to be finite, or None to check f here
+def _lp_norm(f: ScalarField, p: float, lo: float | None, hi: float | None) -> float:
+    # lo, hi: the extrema of an f known to be finite, or None to check f here
     if not 1.0 <= p < math.inf:
         raise ParameterError(f"lp_norm needs a finite p >= 1, got {p}")
-    if (_finite_min(f) if lo is None else lo) < 0.0:
+    lo, hi = (_finite_min(f), f.max()) if lo is None else (lo, hi)
+    if lo < 0.0:
         raise ParameterError("lp_norm needs a nonnegative field")
-    return float((f.values ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
+    # unless max(f)^p, summed over up to 2^60 cells, stays normal, f is scaled
+    # exactly by a power of two first, as in _rayleigh
+    e = math.frexp(hi)[1]
+    if -960.0 < e * p < 960.0:
+        return float((f.values ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
+    scaled = float((np.ldexp(f.values, -e) ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
+    return float(np.ldexp(scaled, e))
 
 
 def _finite_min(f: ScalarField) -> float:
@@ -79,7 +86,7 @@ def neg_power(u: ScalarField, p: float) -> float:
 
 
 def _neg_power(u: ScalarField, p: float, lo: float | None) -> float:
-    # lo: as for _lp_norm
+    # lo: the minimum of a u known to be finite, or None to check u here
     if not 0.0 < p < math.inf:
         raise ParameterError(f"neg_power needs a finite p > 0, got {p}")
     if (_finite_min(u) if lo is None else lo) < DEGENERACY_FLOOR:
@@ -124,10 +131,10 @@ def compute_record(u: ScalarField, v: ScalarField, t: float,
     # one finiteness check per field (the mass's of u, the Rayleigh gradient's
     # of v) and one min; each column equals and raises as its functional does
     mass = integrate(u)
-    lo_u, lo_v, hi_v = u.min(), v.min(), v.max()
-    row = [t, mass, lo_u, u.max(), lo_v, hi_v, _rayleigh(v, lo_v, hi_v), _log_mass(u, lo_u),
+    lo_u, hi_u, lo_v, hi_v = u.min(), u.max(), v.min(), v.max()
+    row = [t, mass, lo_u, hi_u, lo_v, hi_v, _rayleigh(v, lo_v, hi_v), _log_mass(u, lo_u),
            lo_v / mass if mass > 0 else math.inf]
-    row += [_lp_norm(u, p, lo_u) for p in p_list]
+    row += [_lp_norm(u, p, lo_u, hi_u) for p in p_list]
     row += [_neg_power(u, p, lo_u) for p in neg_p_list]
     if grad_p is not None:
         row.append(grad_ratio(u, v, grad_p))

@@ -182,7 +182,6 @@ _SECTION_KEYS = {
     "coeff_b": {"model.b": "base", "model.b.eps_x": "eps_x", "model.b.k": "mode_k",
                 "model.b.eps_t": "eps_t", "model.b.omega": "omega"},
     "stepper": _field_keys("stepper", StepperConfig),
-    "elliptic": _field_keys("elliptic", EllipticConfig),
     "ic": _field_keys("ic", ICSpec),
     "run": {"run.t_end": "t_end", "run.diagnostics_every": "diagnostics_every",
             "run.snapshot_every": "snapshot_every", "diagnostics.p_list": "p_list",
@@ -253,7 +252,7 @@ def config_from_mapping(kv: dict[str, str]) -> RunConfig:
             part = getattr(base.params, name)
             model[name] = replace(part, **_parsed(name, part, kv))
         sections = {"params": replace(base.params, **model)}
-        for name in ("stepper", "elliptic", "ic"):
+        for name in ("stepper", "ic"):
             part = getattr(base, name)
             sections[name] = replace(part, **_parsed(name, part, kv))
         return replace(base, grid=grid, **sections, **_parsed("run", base, kv))
@@ -302,6 +301,11 @@ def _next_point(t: float, every: float) -> int:
     return int(math.floor(t / every + 1e-9)) + 1
 
 
+def _out_path(config: RunConfig, outdir) -> Path | None:
+    """Where a run or sweep writes: an explicit ``outdir``, else the config's, else nowhere."""
+    return Path(outdir) if outdir is not None else Path(config.outdir) if config.outdir else None
+
+
 def run(config: RunConfig, outdir=None) -> RunOutcome:
     """Advance from t=0 to t_end or to a failure trigger.
 
@@ -310,8 +314,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
     pair past each cadence point and at the final pair, and a snapshot at
     the first pair past each snapshot point when enabled.
     """
-    out = Path(outdir) if outdir is not None else (
-        Path(config.outdir) if config.outdir else None)
+    out = _out_path(config, outdir)
     snapdir = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -329,9 +332,7 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
     eps_t = 1e-12 * max(1.0, config.t_end)
     cadence = config.cadence
     k_diag = k_snap = n_snap = 0
-    peak_u = -math.inf
-    min_v = math.inf
-    state = None
+    peak_u, min_v, state = -math.inf, math.inf, None
 
     try:
         state = initial_state(u0, params, config.elliptic, config.stepper)
@@ -485,7 +486,7 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
         raise ConfigError(f"sweep axes must be distinct, got {names}")
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    out = Path(outdir) if outdir is not None else None
+    out = _out_path(template, outdir)
 
     combos = list(itertools.product(*[v for _, v in axes]))
     jobs = []
@@ -509,8 +510,7 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
     rows = [dict(zip(cols, (i, *combo, o.verdict, o.trigger or "", o.summary["threshold"]["regime"],
                             o.t_reached, o.peak_max_u, o.min_min_v)))
             for i, (combo, o) in enumerate(zip(combos, outcomes))]
-    result = SweepResult(rows=rows, outcomes=outcomes,
-                         cell_configs=[cfg for _, cfg in jobs])
+    result = SweepResult(rows=rows, outcomes=outcomes, cell_configs=[cfg for _, cfg in jobs])
     if out is not None:
         lines = [",".join(cols)] + [",".join(_fmt_cell(row[c]) for c in cols) for row in rows]
         csv_path = out / "sweep.csv"
@@ -520,7 +520,5 @@ def sweep(template: RunConfig, axes: list[tuple[str, list[float]]],
 
 
 def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 

@@ -160,11 +160,8 @@ def face_gradient(f: ScalarField) -> list[np.ndarray]:
     """Per-axis gradients on the interior faces: (right - left)/h between
     neighbors.  The boundary faces' zero gradient is implied."""
     require_finite(f)
-    grid = f.grid
-    out = []
-    for (lo, hi), h in zip(grid.face_slices, grid.spacing):
-        out.append((f.values[hi] - f.values[lo]) / h)
-    return out
+    return [(f.values[hi] - f.values[lo]) / h
+            for (lo, hi), h in zip(f.grid.face_slices, f.grid.spacing)]
 
 
 def cell_gradient_sq(f: ScalarField) -> ScalarField:

@@ -105,10 +105,13 @@ def beta_window(chi: float, mu: float, R: float) -> BetaWindow:
             f"empty window ({lo:.6g}, {beta_plus:.6g}) for chi={chi}, mu={mu}, R={R}")
     chosen = 0.5 * (lo + beta_plus)
     if abs(chosen - chi) <= 1e-9 * max(1.0, beta_plus):
-        nudged = chosen + ROOT_NUDGE * beta_plus
-        if nudged >= beta_plus:
-            nudged = chosen - ROOT_NUDGE * beta_plus
-        chosen = nudged
+        # toward the far end by a fraction of the width, which stays inside, or one float
+        far = beta_plus if beta_plus - chi >= chi - lo else lo
+        nudged = chosen + math.copysign(ROOT_NUDGE * (beta_plus - lo), far - chosen)
+        nudged = nudged if nudged != chosen else math.nextafter(chosen, far)
+        chosen = nudged if lo < nudged < beta_plus else chosen
+    if not (lo < chosen < beta_plus and chosen != chi):
+        raise ThresholdNotMetError(f"no float beta != chi={chi} in ({lo:.17g}, {beta_plus:.17g})")
     p_hat = 4.0 * chosen / (chi - chosen) ** 2
     return BetaWindow(chi, mu, R, beta_minus, beta_plus, chosen, p_hat)
 

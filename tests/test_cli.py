@@ -45,12 +45,19 @@ def test_run_subcommand_override_and_trigger(cfg_path, tmp_path, capsys):
     assert payload["trigger"] == "u_ceiling"
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 def test_run_subcommand_solver_failure(cfg_path, tmp_path, capsys):
-    # 1e-300 is inside the accepted (0, 1e-4] range but no float64 solve meets it
-    code = main(["run", str(cfg_path), "elliptic.rel_tolerance=1e-300",
-                 "ic.kind=gaussian", "ic.baseline=0.2", "--outdir", str(tmp_path / "out")])
-    assert code == 4
-    assert json.loads(capsys.readouterr().out)["verdict"] == "SolverFailure"
+    # nu*u overflows, so the residual of the first solve is NaN, on the
+    # line's band and on the 8x8 grid's cosine path alike
+    for grid in ("grid.dim=1", "grid.dim=2 grid.cells=8"):
+        out = tmp_path / grid.replace(" ", "_")
+        code = main(["run", str(cfg_path), *grid.split(), "model.nu=1e308", "ic.kind=gaussian",
+                     "ic.baseline=0.2", "--outdir", str(out)])
+        assert code == 4, grid
+        assert json.loads(capsys.readouterr().out)["verdict"] == "SolverFailure"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failure"] == "elliptic solve residual is nan", grid
 
 
 def _reject_constant(name):
@@ -120,8 +127,9 @@ def test_run_subcommand_overflowing_ic_is_reported_once(cfg_path, tmp_path, caps
 
 def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("model.unknown=1\n")
-    assert main(["run", str(bad)]) == 2
+    for text in ("model.unknown=1\n", "elliptic.rel_tolerance=1e-10\n"):
+        bad.write_text(text)
+        assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     for override in ("run.t_end=nan", "run.t_end=inf", "run.diagnostics_every=inf",
                      "run.snapshot_every=nan", "model.mu=nan", "model.nu=inf",
@@ -148,7 +156,9 @@ def test_run_subcommand_config_error(cfg_path, tmp_path, capsys):
                      "diagnostics.p_list=0.5", "diagnostics.p_list=2,inf",
                      "diagnostics.p_list=nan", "diagnostics.grad_p=1.5",
                      # exponents whose lp_{p:g} column names repeat
-                     "diagnostics.p_list=2,2", "diagnostics.p_list=2,2.0000001"):
+                     "diagnostics.p_list=2,2", "diagnostics.p_list=2,2.0000001",
+                     # the elliptic solve is judged by one fixed rule, which no key sets
+                     "elliptic.rel_tolerance=1e-10"):
         assert main(["run", str(cfg_path), *override.split(),
                      "--outdir", str(tmp_path / "out")]) == 2, override
 
@@ -191,7 +201,7 @@ def test_sweep_subcommand(cfg_path, tmp_path, capsys):
     # each: exit 4 (mu=1e-10 overflows the first solve's v)
     for overrides, axes, code in (
             ("stepper.u_ceiling=0.5", ("chi=0.5,3", "a_scale=0.1,3"), 3),
-            ("elliptic.rel_tolerance=1e-300", ("chi=0.5,3", "a_scale=0.1,3"), 4),
+            ("model.nu=1e308", ("chi=0.5,3", "a_scale=0.1,3"), 4),
             ("model.nu=1e300 stepper.u_ceiling=0.5", ("mu=1,1e-10",), 4)):
         args = [f"--axis={axis}" for axis in axes]
         assert main(["sweep", str(cfg_path), *overrides.split(), "ic.kind=gaussian",

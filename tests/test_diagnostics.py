@@ -39,6 +39,33 @@ def test_lp_norm_indicator_bump():
     assert diag.lp_norm(ScalarField(g, vals), 2.0) == pytest.approx(math.sqrt(0.5))
 
 
+@pytest.mark.filterwarnings("error")
+def test_lp_norm_where_the_powers_leave_float_range():
+    # max(f)^p overflows or underflows, the norm does not: f is scaled by a
+    # power of two first; a field that needs no scaling keeps the plain sum
+    g = Grid.line(1.0, 8)
+    u = ScalarField.full(g, 1e5)
+    assert diag.lp_norm(u, 64.0) == pytest.approx(1e5, rel=1e-14)
+    # a record's column, from the extrema it takes once, is the same float
+    row = diag.compute_record(u, solve_chemical(u, 1.0, 1.0), 0.0, (2.0, 64.0))
+    assert row[-2:] == [diag.lp_norm(u, 2.0), diag.lp_norm(u, 64.0)]
+    assert diag.lp_norm(ScalarField.full(g, 1e-200), 2.0) == pytest.approx(1e-200, rel=1e-14)
+    profile = 1.0 + 0.5 * np.cos(np.pi * g.centers(0))
+    for p in (1.0, 2.0, 3.5, 64.0):
+        unit = diag.lp_norm(ScalarField(g, profile), p)
+        assert unit == float((profile ** p).sum() * g.cell_volume) ** (1.0 / p)
+        for k in (-1000, -700, 700, 1000):
+            scaled = diag.lp_norm(ScalarField(g, np.ldexp(profile, k)), p)
+            assert scaled == pytest.approx(math.ldexp(unit, k), rel=1e-13), (p, k)
+    # and grad_ratio, whose q = 6 here raises the gradient's 2^400 to 2^2400
+    box = Grid.box(1.0, 1.0, 8, 8)
+    x, y = box.coordinate_fields()
+    u = ScalarField(box, 1.0 + 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
+    v = solve_chemical(u, 1.0, 1.0)
+    big = [ScalarField(box, np.ldexp(f.values, 400)) for f in (u, v)]
+    assert diag.grad_ratio(*big, 1.5) == pytest.approx(diag.grad_ratio(u, v, 1.5), rel=1e-13)
+
+
 def test_lp_norm_validation():
     g = Grid.line(1.0, 8)
     # a NaN p would give NaN and an infinite one 1.0 for this field

@@ -13,6 +13,15 @@ from chemotaxsim.mesh import (Grid, ScalarField, divergence, face_gradient,
                               integrate)
 
 
+def residual(grid, mu, b, v):
+    """b - A v formed as the solve forms it, with its cached ||A||_inf: by
+    the band on a line of three or more cells, else by the stencil."""
+    if grid.dim == 1 and grid.num_cells > 2:
+        _, band, a_norm = elliptic._tridiag_factors(grid, mu)
+        return dgbmv(b.size, b.size, 1, 1, -1.0, band, v, beta=1.0, y=b), a_norm
+    return (b - apply_operator(grid, mu, v)).ravel(), elliptic._cosine_basis(grid, mu)[2]
+
+
 def test_constant_source_gives_constant_solution():
     grid = Grid.line(1.0, 64)
     v = solve_chemical(ScalarField.full(grid, 3.0), mu=2.0, nu=4.0)
@@ -93,16 +102,15 @@ def test_unattainable_tolerance_raises_with_residual():
                          ids=["1d", "2d"])
 def test_non_finite_solution_fails_the_residual_check(grid):
     # NaN compares False with any bound, and one inf cell makes the bound
-    # inf too; both must be rejected, never accepted.  The line passes its
-    # band, as its solve does.
-    from chemotaxsim.elliptic import _check_residual, _tridiag_factors
-    band = _tridiag_factors(grid, 1.0)[1] if grid.dim == 1 else None
+    # inf too; both must be rejected, never accepted.  The line forms its
+    # residual with its band, as its solve does.
     ones = np.ones(grid.shape)
     one_inf = ones.copy()
     one_inf.flat[3] = np.inf
     for v in (np.full(grid.shape, np.nan), one_inf):
+        r, a_norm = residual(grid, 1.0, ones, v)
         with pytest.raises(SolverFailureError):
-            _check_residual(grid, 1.0, ones, dnrm2(ones.ravel()), v, 1e-10, band)
+            elliptic._check_residual(r, dnrm2(ones.ravel()), v, a_norm, 1e-10)
     with pytest.raises(SolverFailureError):  # nu*u overflows to inf
         solve_chemical(ScalarField.full(grid, 10.0), 1.0, 1e308)
 
@@ -175,7 +183,6 @@ def test_residual_check_holds_for_sources_whose_squares_overflow(scale):
     # the plain sum of squares of this 24-cell source is inf, so an unscaled
     # ||b|| made the bound inf: at 1e155 a wrong v passed, and at 1e175 the
     # residual's squares overflowed too, so a correct solve was rejected
-    from chemotaxsim.elliptic import _check_residual, _tridiag_factors
     grid = Grid.line(1.0, 24)
     profile = 1.0 + 0.5 * np.cos(np.pi * grid.centers(0))
     b = scale * profile
@@ -183,34 +190,41 @@ def test_residual_check_holds_for_sources_whose_squares_overflow(scale):
     v = solve_chemical(ScalarField(grid, b), 1.0, 1.0).values
     unit = solve_chemical(ScalarField(grid, profile), 1.0, 1.0).values
     assert np.allclose(v / scale, unit, rtol=1e-13, atol=0.0)
+    bad = v * (1.0 + 1e-5)
+    r, a_norm = residual(grid, 1.0, b, bad)
     with pytest.raises(SolverFailureError):
-        _check_residual(grid, 1.0, b, dnrm2(b), v * (1.0 + 1e-5), 1e-10,
-                        _tridiag_factors(grid, 1.0)[1])
+        elliptic._check_residual(r, dnrm2(b), bad, a_norm, 1e-10)
 
 
 def test_banded_residual_rejects_a_perturbed_solution(monkeypatch):
-    # a 256-cell line judges its solve with the cached band alone, accepted
-    # or rejected, and reports the band's residual; the stencil never runs.
+    # a 256-cell line judges its solve by the cached band's residual alone,
+    # bit for bit, and the rule reports it; the stencil never runs.
     # v*(1 + d) leaves the residual d*||b||, which the bound rejects only when
     # ||b||/||v|| > d*||A||_inf = 2.6 here: a smooth source's perturbation is
     # within backward error, so the source is the cosine mode of 8 periods
-    from chemotaxsim.elliptic import _check_residual, _tridiag_factors
-    stencil_calls = []
+    stencil_calls, judged = [], []
     monkeypatch.setattr(elliptic, "apply_operator",
                         lambda *args: stencil_calls.append(args) or apply_operator(*args))
+    check = elliptic._check_residual
+    monkeypatch.setattr(elliptic, "_check_residual",
+                        lambda *args: judged.append(args) or check(*args))
     grid = Grid.line(1.0, 256)
-    band = _tridiag_factors(grid, 1.0)[1]
     b = np.cos(16.0 * np.pi * grid.centers(0))
     v = solve_chemical(ScalarField(grid, b), 1.0, 1.0).values
-    _check_residual(grid, 1.0, b, dnrm2(b), v, 1e-10, band)
+    r, a_norm = residual(grid, 1.0, b, v)
+    assert [(x.tobytes(), b_norm, a) for x, b_norm, _, a, _ in judged] == [
+        (r.tobytes(), dnrm2(b), a_norm)]
     bad = v * (1.0 + 1e-5)
-    res = dnrm2(dgbmv(256, 256, 1, 1, -1.0, band, bad, beta=1.0, y=b))
-    with pytest.raises(SolverFailureError, match=f"^elliptic solve residual {res:.3e} above"):
-        _check_residual(grid, 1.0, b, dnrm2(b), bad, 1e-10, band)
-    # at 2048 cells the residual exceeds tol*||b||, so the band accepts with
-    # the ||A||_inf term of the bound
+    r = residual(grid, 1.0, b, bad)[0]
+    with pytest.raises(SolverFailureError,
+                       match=f"^elliptic solve residual {dnrm2(r):.3e} above"):
+        check(r, dnrm2(b), bad, a_norm, 1e-10)
+    # at 2048 cells the residual exceeds tol*||b||, and the bound's
+    # ||A||_inf term accepts it
     fine = Grid.line(1.0, 2048)
-    solve_chemical(ScalarField(fine, 1.0 + np.cos(np.pi * fine.centers(0))), 1.0, 1.0)
+    b = 1.0 + np.cos(np.pi * fine.centers(0))
+    solve_chemical(ScalarField(fine, b), 1.0, 1.0)
+    assert dnrm2(judged[-1][0]) > 1e-10 * dnrm2(b)
     assert stencil_calls == []
 
 
@@ -237,11 +251,11 @@ def test_cached_band_is_the_operator_matrix(n):
     from chemotaxsim.elliptic import _tridiag_factors
     grid = Grid.line(1.0, n)
     mu = 1.3
-    band = _tridiag_factors(grid, mu)[1]
+    _, band, a_norm = _tridiag_factors(grid, mu)
+    assert a_norm == mu + 4.0 / grid.spacing[0] ** 2  # ||A||_inf, cached with the band
     eye = np.eye(n)
     banded = np.column_stack([dgbmv(n, n, 1, 1, 1.0, band, e) for e in eye])
     dense = np.column_stack([apply_operator(grid, mu, e) for e in eye])
-    a_norm = mu + 4.0 / grid.spacing[0] ** 2
     assert np.abs(banded - dense).max() <= 4.0 * np.finfo(float).eps * a_norm
 
 
@@ -282,15 +296,16 @@ def test_cosine_modes_are_eigenpairs_of_the_operator(grid):
     # too, where cosine phases taken without reduction lose digits), and
     # every separable mode prod_ax cos(pi*k_ax*(j_ax + 1/2)/n_ax), written
     # out here, is an eigenvector of apply_operator with the value
-    # mu + laplacian_eigenvalues(grid)
+    # mu + laplacian_eigenvalues(grid); ||A||_inf is cached with them
     from chemotaxsim.elliptic import _cosine_basis, laplacian_eigenvalues
     mu = 1.3
-    mats, shifted = _cosine_basis(grid, mu)
+    mats, shifted, cached_norm = _cosine_basis(grid, mu)
     for q in mats + _cosine_basis(Grid.line(1.0, 256), mu)[0]:
         assert np.abs(q @ q.T - np.eye(len(q))).max() <= 1e-14
     lam = laplacian_eigenvalues(grid)
     assert lam.shape == grid.shape and np.array_equal(shifted, mu + lam)
     a_norm = mu + sum(4.0 / h ** 2 for h in grid.spacing)
+    assert cached_norm == a_norm
     for k in np.ndindex(grid.shape):
         mode = np.ones(())
         for kk, n in zip(k, grid.cells):

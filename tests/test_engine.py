@@ -74,7 +74,7 @@ ALL_KEYS = {
     "model.a.omega": "1.5", "model.b": "0.7", "model.b.eps_x": "0.1", "model.b.k": "3",
     "model.b.eps_t": "0.05", "model.b.omega": "2",
     "stepper.cfl_safety": "0.3", "stepper.dt_min": "1e-10", "stepper.u_ceiling": "1e6",
-    "stepper.v_floor": "1e-9", "elliptic.rel_tolerance": "1e-9",
+    "stepper.v_floor": "1e-9",
     "run.t_end": "0.3", "run.diagnostics_every": "0.05", "run.snapshot_every": "0.1",
     "run.seed": "17", "run.outdir": "somewhere",
     "ic.kind": "gaussian", "ic.value": "2", "ic.center": "0.4,0.6", "ic.width": "0.2",
@@ -85,7 +85,7 @@ ALL_KEYS = {
 
 def test_config_schema_defaults_fields_and_readme():
     assert config_from_mapping({}) == RunConfig()
-    assert engine._KNOWN_KEYS == set(ALL_KEYS) and len(ALL_KEYS) == 35
+    assert engine._KNOWN_KEYS == set(ALL_KEYS) and len(ALL_KEYS) == 34
     # each key sets the field its section names and nothing else in it
     def section(cfg, name):
         if name in ("coeff_a", "coeff_b"):
@@ -619,3 +619,59 @@ def test_sweep_records_per_cell_failures(tmp_path):
     result = sweep(bad, [("chi", [0.5, 1.0])], outdir=tmp_path, workers=1)
     assert all(r["verdict"] == "NumericalBlowUpSuspected" for r in result.rows)
     assert all(r["trigger"] == "u_ceiling" for r in result.rows)
+
+
+def test_run_and_sweep_write_where_the_config_says(tmp_path, monkeypatch):
+    # one rule for both: an explicit outdir wins, else the config's outdir,
+    # and with neither no file is written
+    monkeypatch.chdir(tmp_path)
+    template = replace(sweep_template(n=8, t_end=0.05), outdir=str(tmp_path / "x"))
+    assert run(template).diagnostics_path == str(tmp_path / "x" / "diagnostics.csv")
+    result = sweep(template, [("chi", [0.5, 1.0])], workers=1)
+    assert result.csv_path == str(tmp_path / "x" / "sweep.csv")
+    assert [cfg.outdir for cfg in result.cell_configs] == [
+        str(tmp_path / "x" / "cells" / f"c{i:03d}") for i in range(2)]
+    assert all((tmp_path / "x" / "cells" / f"c{i:03d}" / "diagnostics.csv").exists()
+               for i in range(2))
+    result = sweep(template, [("chi", [0.5])], outdir=tmp_path / "y", workers=1)
+    assert result.csv_path == str(tmp_path / "y" / "sweep.csv")
+    assert (tmp_path / "y" / "cells" / "c000" / "summary.json").exists()
+    assert len(list((tmp_path / "x" / "cells").iterdir())) == 2
+    bare = replace(template, outdir=None)
+    assert run(bare).diagnostics_path is None
+    assert sweep(bare, [("chi", [0.5])], workers=1).csv_path is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x", "y"]
+
+
+def test_time_dependent_logistic_oracle_in_dims_1_to_4():
+    # with chi = 0 and a constant start every cell follows u' = u(a(t) - b(t)u),
+    # which is linear in 1/u: 1/u = e^{-A}[1/u0 + int_0^t b e^{A}], with
+    # A(t) = t + (1 - cos 3t)/6 for a = 1 + 0.5 sin 3t.  Forward Euler's error is
+    # C*dt with one C in every dimension: 0.591 on each grid here, bounded by 0.65.
+    # eps_x stays 0, or the cells would stop following one ODE
+    from scipy.integrate import quad
+
+    def A(t):
+        return t + (1.0 - math.cos(3.0 * t)) / 6.0
+
+    def exact(t):
+        integral = quad(lambda s: (1.0 + 0.3 * math.sin(5.0 * s)) * math.exp(A(s)), 0.0, t,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return math.exp(A(t)) / (1.0 / 0.1 + integral)
+
+    params = ModelParams(0.0, 1.0, 1.0, CoefficientSpec(1.0, eps_t=0.5, omega=3.0),
+                         CoefficientSpec(1.0, eps_t=0.3, omega=5.0))
+    errors = {}
+    for grid in (Grid.line(1.0, 8), Grid.line(1.0, 16), Grid.box(1.0, 1.0, 8, 8),
+                 Grid((1.0,) * 3, (4,) * 3), Grid((1.0,) * 4, (4,) * 4)):
+        outcome = run(RunConfig(grid=grid, params=params, ic=ICSpec(kind="constant", value=0.1),
+                                t_end=5.0, diagnostics_every=0.5))
+        assert outcome.failure is None and outcome.t_reached == pytest.approx(5.0, abs=1e-9)
+        records = outcome.records
+        assert len(records) == 11
+        worst = max(max(abs(r.max_u - u), abs(r.min_u - u)) / u
+                    for r, u in zip(records, map(exact, records.column("t"))))
+        errors[grid.cells] = worst
+        assert worst <= 0.65 * (outcome.t_reached / outcome.steps), grid.cells
+    # dt is proportional to h^2 in 1D, so halving h quarters the error
+    assert 3.6 <= errors[(8,)] / errors[(16,)] <= 4.4

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,34 @@ def test_beta_window_moves_a_midpoint_off_chi(chi, mu, R):
     assert lo < win.chosen_beta < hi and win.chosen_beta != chi
     assert quadratic(chi, mu, R, win.chosen_beta) < 0.0
     assert math.isfinite(win.p_hat)
+    # lo = 0, so the nudge is the fraction ROOT_NUDGE of beta_plus
+    assert win.chosen_beta == chi + regimes.ROOT_NUDGE * hi
+    assert win.p_hat == 4.0 * win.chosen_beta / (chi - win.chosen_beta) ** 2
+
+
+def exact_quadratic(chi, mu, R, beta):
+    """quadratic() in exact rational arithmetic: its float terms cancel at large chi."""
+    chi, mu, R, beta = map(Fraction, (chi, mu, R, beta))
+    return mu * beta * beta + 2 * mu * (2 - chi) * beta + mu * chi * chi - 4 * R
+
+
+@pytest.mark.parametrize("chi, mu, R", [(1e12, 1.0, 1e12), (1e10, 1.0, 1e10)])
+def test_beta_window_keeps_a_large_chi_beta_inside_its_window(chi, mu, R):
+    # the window (chi - 4, chi) is narrower than a nudge relative to beta_plus,
+    # which stepped below its lower end
+    win = beta_window(chi, mu, R)
+    lo, hi = win.window
+    assert (lo, hi) == (chi - 4.0, chi)
+    assert lo < win.chosen_beta < hi and win.chosen_beta != chi
+    assert exact_quadratic(chi, mu, R, win.chosen_beta) < 0
+    assert math.isfinite(win.p_hat)
+
+
+def test_beta_window_without_a_float_beside_chi_raises():
+    # at chi = 1e17 the floats are 16 apart: the window (chi - 16, chi + 16)
+    # holds no float but chi, where p divides by zero
+    with pytest.raises(ThresholdNotMetError, match=r"^no float beta != chi=1e\+17 in \("):
+        beta_window(1e17, 1.0, 1e17 + 32.0)
 
 
 def test_beta_window_requires_rate_above_threshold():

@@ -90,6 +90,13 @@ CASES = {
     "solver_failure_tolerance": RUN + ["elliptic.rel_tolerance=1e-300", "ic.baseline=0.2"],
     "solver_failure_overflow": RUN + ["grid.cells=16", "model.nu=1e308", "ic.kind=constant",
                                       "ic.value=10"],
+    # the same source on the cosine path
+    "solver_failure_overflow_2d": RUN + ["grid.dim=2", "grid.cells=8", "model.nu=1e308",
+                                         "ic.kind=constant", "ic.value=10"],
+    # u**64 leaves float range, the norm does not
+    "run_lp_large_p": RUN + ["grid.cells=8", "model.chi=0", "ic.kind=constant", "ic.value=1e5",
+                             "diagnostics.p_list=2,64", "run.t_end=0.01",
+                             "run.diagnostics_every=0.002"],
     "config_error": RUN + ["model.unknown=1"],
     "config_error_dt_min_inf": RUN + ["stepper.dt_min=inf"],
     "config_error_v_floor_inf": RUN + ["stepper.v_floor=inf"],
@@ -107,6 +114,8 @@ CASES = {
     "regimes_threshold": ["regimes", "--chi", "2", "--mu", "1", "--a-inf", "2.1"],
     "regimes_mu_nan": ["regimes", "--chi", "1", "--mu", "nan", "--a-inf", "1"],
     "regimes_a_inf_inf": ["regimes", "--chi", "3", "--mu", "1", "--a-inf", "inf"],
+    # the beta window is narrower than a nudge relative to beta_plus
+    "regimes_large_chi": ["regimes", "--chi", "1e12", "--mu", "1", "--a-inf", "1e12"],
     "check": ["check"],
 }
 
