@@ -103,7 +103,8 @@ def _cmd_regimes(args) -> int:
     verdict = boundedness_threshold(args.chi, args.mu, args.a_inf)
     window = (dataclasses.asdict(beta_window(args.chi, args.mu, args.a_inf))
               if verdict.satisfied else None)
-    print(json.dumps({"threshold": dataclasses.asdict(verdict), "beta_window": window}, indent=2))
+    print(json.dumps(engine._json_safe({"threshold": dataclasses.asdict(verdict),
+                                        "beta_window": window}), indent=2))
     return EXIT_OK if verdict.satisfied else EXIT_FAIL
 
 

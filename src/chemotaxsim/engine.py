@@ -295,10 +295,12 @@ def _monitored_neg_p(thr: ThresholdVerdict) -> tuple[float, ...]:
     return ()
 
 
-def _next_point(t: float, every: float) -> int:
-    """Index k of the first cadence point k*every past t; t counts as on a
-    point it lies within 1e-9 intervals below."""
-    return int(math.floor(t / every + 1e-9)) + 1
+def _next_point(reached: float, every: float) -> float:
+    """The smallest k with k*every > reached; past 2**53 k steps by its ulp."""
+    k = reached // every + 1.0
+    while k * every <= reached:
+        k = max(k + 1.0, math.nextafter(k, math.inf))
+    return k
 
 
 def _out_path(config: RunConfig, outdir) -> Path | None:
@@ -309,10 +311,10 @@ def _out_path(config: RunConfig, outdir) -> Path | None:
 def run(config: RunConfig, outdir=None) -> RunOutcome:
     """Advance from t=0 to t_end or to a failure trigger.
 
-    Solver errors become verdicts, never uncaught exceptions.  Every pair
-    from t=0 on passes one emission point: a diagnostics row at the first
-    pair past each cadence point and at the final pair, and a snapshot at
-    the first pair past each snapshot point when enabled.
+    Solver errors become verdicts, never uncaught exceptions.  The first
+    pair with t + 1e-12*max(1, t_end) >= k*interval writes cadence point k's
+    one diagnostics row, and snapshot point k's one snapshot when enabled;
+    the final pair writes a row too.
     """
     out = _out_path(config, outdir)
     snapdir = None
@@ -340,14 +342,15 @@ def run(config: RunConfig, outdir=None) -> RunOutcome:
             peak_u = max(peak_u, state.u_max)
             min_v = min(min_v, state.v_min)
             done = config.t_end - state.t <= eps_t
-            if done or state.t + eps_t >= k_diag * cadence:
+            reached = state.t + eps_t
+            if done or reached >= k_diag * cadence:
                 records.append(diag.compute_record(state.u, state.v, state.t, config.p_list,
                                                    neg_p, config.grad_p))
-                k_diag = _next_point(state.t, cadence)
-            if snapdir is not None and state.t + eps_t >= k_snap * config.snapshot_every:
+                k_diag = _next_point(reached, cadence)
+            if snapdir is not None and reached >= k_snap * config.snapshot_every:
                 write_snapshot(state.u, state.t, snapdir / f"t{n_snap}.field")
                 n_snap += 1
-                k_snap = _next_point(state.t, config.snapshot_every)
+                k_snap = _next_point(reached, config.snapshot_every)
             if done:
                 break
             advance(state, dt_cap=config.t_end - state.t)

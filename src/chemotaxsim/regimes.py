@@ -112,7 +112,9 @@ def beta_window(chi: float, mu: float, R: float) -> BetaWindow:
         chosen = nudged if lo < nudged < beta_plus else chosen
     if not (lo < chosen < beta_plus and chosen != chi):
         raise ThresholdNotMetError(f"no float beta != chi={chi} in ({lo:.17g}, {beta_plus:.17g})")
-    p_hat = 4.0 * chosen / (chi - chosen) ** 2
+    e = math.frexp(chi - chosen)[1]  # an exact power-of-two scale, as in diagnostics._rayleigh
+    q = 4.0 * chosen / math.ldexp(chi - chosen, -e) ** 2
+    p_hat = math.ldexp(q, -2 * e) if math.frexp(q)[1] - 2 * e <= 1024 else math.inf
     return BetaWindow(chi, mu, R, beta_minus, beta_plus, chosen, p_hat)
 
 
@@ -148,8 +150,6 @@ class LpPlan:
     eps: float
     p_star: float
     p_star_upper: float
-    alpha_gap: float
-    shrink_count: int
     flags: dict[str, bool]
 
     @property
@@ -184,8 +184,7 @@ def _select_eps(c: float, d: float, r: float, m: float, p: float,
     return 0.5 * cap
 
 
-def build_plan(c: float, alpha: float, lam: float, h: float, p: float,
-               alpha_gap: float = math.nan, shrink_count: int = 0) -> LpPlan:
+def build_plan(c: float, alpha: float, lam: float, h: float, p: float) -> LpPlan:
     """Assemble the derived quantities and evaluate every inequality flag by
     direct arithmetic (no flag is inferred from another)."""
     d = 1.0 / lam - 1.0
@@ -212,10 +211,8 @@ def build_plan(c: float, alpha: float, lam: float, h: float, p: float,
         "eps_ratio": eps > 0.0 and p + 1.0 - eps - r * d > 0.0
                      and 2.0 * p + 2.0 - eps > d * (p + 1.0 - eps) / (p + 1.0 - eps - r * d),
     }
-    return LpPlan(c=c, alpha=alpha, lam=lam, h=h, d=d, p=p, l=l, r=r, m=m,
-                  eps=eps, p_star=p_star,
-                  p_star_upper=p_star_upper(c, h, alpha, lam),
-                  alpha_gap=alpha_gap, shrink_count=shrink_count, flags=flags)
+    return LpPlan(c=c, alpha=alpha, lam=lam, h=h, d=d, p=p, l=l, r=r, m=m, eps=eps,
+                  p_star=p_star, p_star_upper=p_star_upper(c, h, alpha, lam), flags=flags)
 
 
 def lp_parameter_plan(c: float, h_frac: float, alpha_gap: float) -> LpPlan:
@@ -260,8 +257,7 @@ def lp_parameter_plan(c: float, h_frac: float, alpha_gap: float) -> LpPlan:
             # relative margin keeps ulp noise at large 1/lam scales from
             # opening a spurious window
             if hi - lo > WINDOW_RTOL * abs(lo):
-                return build_plan(c, alpha, lam, h, 0.5 * (lo + hi), alpha_gap=gap,
-                                  shrink_count=shrink)
+                return build_plan(c, alpha, lam, h, 0.5 * (lo + hi))
         gap *= 0.5
     p_star, p_upper = first if first is not None else (math.nan, math.nan)
     raise InfeasiblePlanError(

@@ -223,6 +223,31 @@ def test_regimes_subcommand(capsys):
         main(["regimes", "--chi", "1.0", "--mu", "1.0", "--a-inf", "1.0", "--plan"])
 
 
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_regimes_subcommand_prints_strict_json(capsys):
+    # mu*chi*chi/4 overflows, so the threshold is inf
+    assert main(["regimes", "--chi", "1.5", "--mu", "1e308", "--a-inf", "1"]) == 1
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["threshold"]["threshold"] == "inf"
+    assert payload["beta_window"] is None
+    # (chi - beta)**2 underflows at chi = 1e-200; p_hat does not
+    assert main(["regimes", "--chi", "1e-200", "--mu", "1", "--a-inf", "1e-300"]) == 0
+    assert 1e100 < strict_json(capsys.readouterr().out)["beta_window"]["p_hat"] < 1e101
+
+
+def test_run_at_tiny_chi_ends_with_a_verdict(cfg_path, tmp_path, capsys):
+    code = main(["run", str(cfg_path), "model.chi=1e-200", "model.a=1e-300",
+                 "--outdir", str(tmp_path / "out")])
+    payload = strict_json(capsys.readouterr().out)
+    assert code == 0 and payload["verdict"] == "CompletedBounded"
+    assert strict_json((tmp_path / "out" / "summary.json").read_text())["threshold"]["satisfied"]
+
+
 @pytest.mark.parametrize("chi, mu, a_inf", [("1", "nan", "1"), ("1", "inf", "1"),
                                            ("3", "1", "inf"), ("3", "1", "nan")])
 def test_regimes_subcommand_rejects_non_finite_input(chi, mu, a_inf, capsys):

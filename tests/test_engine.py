@@ -204,6 +204,33 @@ def test_snapshots_written_when_enabled(tmp_path):
     assert len(snaps) == 4  # t=0 plus three cadence hits
 
 
+def test_each_cadence_point_gets_one_row_and_one_snapshot(tmp_path):
+    # the run settles on u = a/b, where t drifts about 1e-12 below each
+    # point: the pair that serves a point from below must not leave it to
+    # the next pair too
+    cfg = quick_config(grid=Grid.line(1.0, 8), ic=ICSpec(kind="gaussian", baseline=0.2),
+                       t_end=50.0, diagnostics_every=0.01, snapshot_every=0.01)
+    outcome = run(cfg, outdir=tmp_path)
+    assert len(outcome.records) == 5001
+    assert len(list((tmp_path / "snapshots").glob("t*.field"))) == 5001
+
+
+def test_next_point_is_the_first_point_not_reached():
+    # k*every > reached is the emission test's comparison, so the point a row
+    # or snapshot has just served is never served again
+    gen = np.random.default_rng(11)
+    for every in 10.0 ** gen.uniform(-8.0, 2.0, 300):
+        for k in gen.integers(1, 10 ** 7, 4):
+            point = float(k) * every
+            for reached in (math.nextafter(point, 0.0), point, math.nextafter(point, math.inf)):
+                n = engine._next_point(reached, every)
+                assert (n - 1) * every <= reached < n * every, (every, k, reached, n)
+    assert engine._next_point(0.0, 0.01) == 1
+    # past 2**53 the index steps by its ulp, so the loop still ends
+    n = engine._next_point(1.0, 1e-300)
+    assert n * 1e-300 > 1.0 and math.nextafter(n, 0.0) * 1e-300 <= 1.0
+
+
 def test_run_writes_diagnostics_without_holding_the_file(tmp_path):
     # a record every step: 2,561 rows, a 0.67 MB file next to the records
     cfg = quick_config(grid=Grid.line(1.0, 32), ic=ICSpec(kind="gaussian", baseline=0.2),

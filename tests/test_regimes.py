@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,33 @@ def test_beta_window_without_a_float_beside_chi_raises():
     # holds no float but chi, where p divides by zero
     with pytest.raises(ThresholdNotMetError, match=r"^no float beta != chi=1e\+17 in \("):
         beta_window(1e17, 1.0, 1e17 + 32.0)
+
+
+def test_p_hat_bits_are_the_unscaled_quotient_over_the_battery_windows():
+    # regime_trial_battery's 10,000 windows: scaling chi - beta by a power of
+    # two moves no bit of p_hat where (chi - beta)**2 is normal
+    gen = np.random.Generator(np.random.Philox(key=2024))
+    for _ in range(10_000):
+        chi = float(gen.uniform(0.05, 8.0))
+        mu = float(10.0 ** gen.uniform(-2.0, 2.0))
+        R = threshold(chi, mu) + float(10.0 ** gen.uniform(-6.0, 1.0)) * mu
+        win = beta_window(chi, mu, R)
+        assert win.p_hat == 4.0 * win.chosen_beta / (chi - win.chosen_beta) ** 2, (chi, mu, R)
+
+
+@pytest.mark.parametrize("chi, R", [(1e-200, 1e-300), (1e-170, 1e-300), (1e-310, 1e-300),
+                                    (1e-300, 2e-300)])
+def test_p_hat_where_the_square_underflows(chi, R):
+    # (chi - beta)**2 underflows to 0 here; p_hat is the exact quotient
+    # rounded, or inf past the float range (chi = 1e-300 is nudged off its
+    # midpoint by a millionth of the width 2e-300)
+    win = beta_window(chi, 1.0, R)
+    beta = Fraction(win.chosen_beta)
+    exact = 4 * beta / (Fraction(chi) - beta) ** 2
+    if exact > sys.float_info.max:
+        assert win.p_hat == math.inf
+    else:
+        assert win.p_hat == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_beta_window_requires_rate_above_threshold():

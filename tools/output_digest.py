@@ -97,6 +97,11 @@ CASES = {
     "run_lp_large_p": RUN + ["grid.cells=8", "model.chi=0", "ic.kind=constant", "ic.value=1e5",
                              "diagnostics.p_list=2,64", "run.t_end=0.01",
                              "run.diagnostics_every=0.002"],
+    # t drifts just below each point of a fixed point's cadence: one row per point
+    "run_cadence_once": RUN + ["grid.cells=8", "ic.baseline=0.2", "run.t_end=50",
+                               "run.diagnostics_every=0.01"],
+    # (chi - beta)**2 underflows in the beta window's p_hat
+    "run_chi_tiny": RUN + ["model.chi=1e-200", "model.a=1e-300"],
     "config_error": RUN + ["model.unknown=1"],
     "config_error_dt_min_inf": RUN + ["stepper.dt_min=inf"],
     "config_error_v_floor_inf": RUN + ["stepper.v_floor=inf"],
@@ -116,6 +121,9 @@ CASES = {
     "regimes_a_inf_inf": ["regimes", "--chi", "3", "--mu", "1", "--a-inf", "inf"],
     # the beta window is narrower than a nudge relative to beta_plus
     "regimes_large_chi": ["regimes", "--chi", "1e12", "--mu", "1", "--a-inf", "1e12"],
+    "regimes_chi_tiny": ["regimes", "--chi", "1e-200", "--mu", "1", "--a-inf", "1e-300"],
+    # mu*chi*chi/4 overflows: the threshold is not finite
+    "regimes_threshold_overflow": ["regimes", "--chi", "1.5", "--mu", "1e308", "--a-inf", "1"],
     "check": ["check"],
 }
 
